@@ -13,12 +13,12 @@ import argparse
 import csv
 import hashlib
 import io
+import itertools
 import json
 import math
-import os
+import pathlib
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict
 from datetime import datetime, timezone
 from fractions import Fraction
@@ -31,7 +31,6 @@ from . import shrink as shrink_mod
 from . import synth as synth_mod
 from . import walk as walk_mod
 from .errors import PermwordError
-from .kernels import convolve_steps
 from .perm import (
     Permutation,
     format_permutation,
@@ -60,13 +59,16 @@ def build_id() -> str:
     """Stable hex digest of the package sources, a git-style build tag."""
     global _BUILD_ID
     if _BUILD_ID is None:
-        root = os.path.dirname(__file__)
+        root = pathlib.Path(__file__).parent
+        sources = sorted(
+            (path.relative_to(root).as_posix(), path)
+            for path in root.rglob("*")
+            if path.suffix in (".py", ".pyx")
+        )
         hasher = hashlib.sha1()
-        for name in sorted(os.listdir(root)):
-            if name.endswith((".py", ".pyx")):
-                with open(os.path.join(root, name), "rb") as fh:
-                    hasher.update(name.encode())
-                    hasher.update(fh.read())
+        for rel, path in sources:
+            hasher.update(rel.encode())
+            hasher.update(path.read_bytes())
         _BUILD_ID = hasher.hexdigest()[:12]
     return _BUILD_ID
 
@@ -174,22 +176,18 @@ def run_mix_exact(args) -> dict:
     group = walk_mod.DenseGroup(args.group, args.n)
     m = _mix_measure(args)
     strong = walk_mod.strong_mixing_time(m, group, cap=args.cap)
-    idx, probs = walk_mod.transition_tables(m, group)
-    dist = np.zeros(group.size)
-    dist[group.identity_index] = 1.0
     u = 1.0 / group.size
-    table = []
-    for k in range(min(strong, args.table_max) + 1):
-        assert abs(dist.sum() - 1.0) <= 1e-9
-        table.append(
-            {
-                "k": k,
-                "l1": walk_mod.lp_norm(dist - u, 1),
-                "l2": walk_mod.lp_norm(dist - u, 2),
-                "linf": walk_mod.lp_norm(dist - u, math.inf),
-            }
-        )
-        dist = convolve_steps(dist, idx, probs, 1)
+    last = min(strong, args.table_max)
+    rows = itertools.islice(walk_mod.evolution(m, group), max(0, last + 1))
+    table = [
+        {
+            "k": k,
+            "l1": walk_mod.lp_norm(dist - u, 1),
+            "l2": walk_mod.lp_norm(dist - u, 2),
+            "linf": walk_mod.lp_norm(dist - u, math.inf),
+        }
+        for k, dist in rows
+    ]
     payload = {
         "n": args.n,
         "group": args.group,
@@ -312,25 +310,13 @@ def run_sweep(args) -> str:
     n_lo, n_hi = cfg["n_range"]
     s_lo, s_hi = cfg["seed_range"]
     params = cfg.get("params", {})
-    jobs = [
-        (n, seed)
-        for n in range(int(n_lo), int(n_hi) + 1)
-        for seed in range(int(s_lo), int(s_hi) + 1)
-    ]
     parser = build_parser()
-    threads = int(os.environ.get("PERMWORD_THREADS", "0") or 0)
-    if threads <= 0:
-        threads = min(4, os.cpu_count() or 1)
     out = io.StringIO()
     writer = csv.writer(out)
     writer.writerow(["n", "seed", "ok", "error", "payload"])
-    if jobs:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            rows = pool.map(
-                lambda job: _sweep_one(parser, sub, job[0], job[1], params), jobs
-            )
-            for row in rows:
-                writer.writerow(row)
+    for n in range(int(n_lo), int(n_hi) + 1):
+        for seed in range(int(s_lo), int(s_hi) + 1):
+            writer.writerow(_sweep_one(parser, sub, n, seed, params))
     return out.getvalue()
 
 

@@ -1,10 +1,10 @@
 """Exact distribution evolution for lazy random walks on small groups.
 
 The full symmetric or alternating group on up to 8 points is held as an
-array of image tables, indexed in lexicographic order (Lehmer ranking).
-Walk distributions are dense float vectors over the group; one convolution
-step is a weighted gather through precomputed translation tables, which is
-the compiled-kernel hot path.
+array of image tables in lexicographic order; a row is found by binary
+search on its base-n code. Walk distributions are dense float vectors over
+the group; one convolution step is a weighted gather through precomputed
+translation tables, which is the compiled-kernel hot path.
 """
 
 from __future__ import annotations
@@ -24,19 +24,10 @@ from .word import GEN_G, GEN_H, Cat, Inv, Word
 MAX_DENSE_DEGREE = 8
 
 
-def _rank_rows(rows: np.ndarray) -> np.ndarray:
-    """Lexicographic rank of each image row among all permutations of 0..n-1.
-
-    Lehmer digits d_j = #{j' > j : row[j'] < row[j]} combined in factorial
-    base by Horner's rule.
-    """
-    rows = np.asarray(rows)
-    n = rows.shape[1]
-    rank = np.zeros(rows.shape[0], dtype=np.int64)
-    for j in range(n - 1):
-        d = (rows[:, j + 1 :] < rows[:, j : j + 1]).sum(axis=1)
-        rank = rank * (n - j) + d
-    return rank.astype(np.int32)
+def _codes(rows: np.ndarray, n: int) -> np.ndarray:
+    """Base-n code of each image row; increasing in lexicographic order."""
+    weights = n ** np.arange(n - 1, -1, -1, dtype=np.int64)
+    return np.asarray(rows, dtype=np.int64) @ weights
 
 
 def _parity_rows(rows: np.ndarray) -> np.ndarray:
@@ -66,16 +57,10 @@ class DenseGroup:
         if kind == "sym":
             self.perms = all_perms
             self.parities = parities
-            self._sym_to_index = np.arange(all_perms.shape[0], dtype=np.int32)
         else:
-            mask = parities == 0
-            self.perms = all_perms[mask]
+            self.perms = all_perms[parities == 0]
             self.parities = np.zeros(self.perms.shape[0], dtype=np.uint8)
-            sym_to_index = np.full(all_perms.shape[0], -1, dtype=np.int32)
-            sym_to_index[np.nonzero(mask)[0]] = np.arange(
-                self.perms.shape[0], dtype=np.int32
-            )
-            self._sym_to_index = sym_to_index
+        self._codes = _codes(self.perms, n)
 
     @classmethod
     def sym(cls, n: int) -> "DenseGroup":
@@ -94,8 +79,11 @@ class DenseGroup:
         return 0  # identity is lexicographically first in both cases
 
     def index_rows(self, rows: np.ndarray) -> np.ndarray:
-        idx = self._sym_to_index[_rank_rows(rows)]
-        if (idx < 0).any():
+        rows = np.asarray(rows)
+        idx = np.searchsorted(self._codes, _codes(rows, self.n))
+        # a code past the last one is clamped and then fails the row check
+        idx = np.minimum(idx, self.size - 1).astype(np.int32)
+        if not np.array_equal(self.perms[idx], rows):
             raise ValueError("image row lies outside the group")
         return idx
 
@@ -302,10 +290,7 @@ def evolve_exact(m: WalkMeasure, group: DenseGroup, k: int) -> Distribution:
     """Distribution of the walk after exactly k steps from the identity."""
     if k < 0:
         raise ValueError("step count must be non-negative")
-    idx, probs = transition_tables(m, group)
-    d = Distribution.point_mass(group).probs
-    d = kernels.convolve_steps(d, idx, probs, k)
-    assert abs(d.sum() - 1.0) <= 1e-9, "convolution lost probability mass"
+    _, d = next(itertools.islice(evolution(m, group), k, None))
     return Distribution(group, d)
 
 
@@ -324,12 +309,9 @@ def distance_to_uniform(dist: Distribution, p: float) -> float:
     return lp_norm(dist.probs - 1.0 / dist.group.size, p)
 
 
-# Alias: the distance is the normalized l^p norm of (dist - uniform).
-lp_distance = distance_to_uniform
-
-
-def _evolution(m: WalkMeasure, group: DenseGroup):
-    """Yield (k, probs) for k = 0, 1, 2, ... lazily."""
+def evolution(m: WalkMeasure, group: DenseGroup):
+    """Yield (k, probs) for k = 0, 1, 2, ... lazily, starting from the
+    identity; step k + 1 is computed only when asked for."""
     idx, probs = transition_tables(m, group)
     d = Distribution.point_mass(group).probs
     k = 0
@@ -345,7 +327,7 @@ def mixing_time_lp(
 ) -> int:
     """Least k with normalized l^p distance to uniform <= threshold."""
     u = 1.0 / group.size
-    for k, d in _evolution(m, group):
+    for k, d in evolution(m, group):
         if lp_norm(d - u, p) <= threshold:
             return k
         if k >= cap:
@@ -356,7 +338,7 @@ def mixing_time_lp(
 def strong_mixing_time(m: WalkMeasure, group: DenseGroup, cap: int = 100_000) -> int:
     """Least k with |G| * max_x |mu^(k)(x) - 1/|G|| <= 1/2."""
     u = 1.0 / group.size
-    for k, d in _evolution(m, group):
+    for k, d in evolution(m, group):
         if group.size * lp_norm(d - u, math.inf) <= 0.5:
             return k
         if k >= cap:
@@ -389,8 +371,8 @@ def _beeth_distances(n: int, g: Permutation):
     size = group.size
     u_sym = 1.0 / size
     u_alt = np.where(group.even_mask(), 2.0 / size, 0.0)
-    gen_m = _evolution(m, group)
-    gen_mp = _evolution(mp, group)
+    gen_m = evolution(m, group)
+    gen_mp = evolution(mp, group)
     while True:
         k, d_m = next(gen_m)
         _, d_mp = next(gen_mp)

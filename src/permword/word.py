@@ -72,9 +72,6 @@ class Cat(Word):
         object.__setattr__(self, "children", children)
 
 
-# Alias: concatenation nodes are built as Cat; Concat reads better in client code.
-Concat = Cat
-
 GEN_G = Gen("g")
 GEN_H = Gen("h")
 

@@ -51,6 +51,38 @@ def test_build_id_is_stable_hex():
     int(a, 16)
 
 
+def test_build_id_covers_subpackages(tmp_path):
+    import os
+    import shutil
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import permword
+
+    src = Path(permword.__file__).resolve().parent
+    digests = []
+    for name in ("before", "after"):
+        pkg = tmp_path / name / "permword"
+        shutil.copytree(src, pkg, ignore=shutil.ignore_patterns("__pycache__"))
+        if name == "after":
+            pure = pkg / "kernels" / "pure.py"
+            pure.write_text(pure.read_text() + "# edited\n")
+        path = os.pathsep.join(filter(None, [str(pkg.parent), os.environ.get("PYTHONPATH")]))
+        code = "import permword.cli as c; print(c.__file__); print(c.build_id())"
+        out = subprocess.run(
+            [sys.executable, "-c", code],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": path},
+        )
+        assert out.returncode == 0, out.stderr
+        where, digest = out.stdout.split()
+        assert Path(where).resolve().parent == pkg.resolve()
+        digests.append(digest)
+    assert digests[0] != digests[1]
+
+
 def test_payloads_are_deterministic(capsys):
     argv = ["synth", "--n", "14", "--seed", "3"]
     _, rec1 = run_record(capsys, argv)
@@ -106,6 +138,22 @@ def test_mix_exact_payload_shape(capsys):
     assert ks == list(range(len(ks)))
     l2s = [row["l2"] for row in p["k_vs_distance"]]
     assert all(a >= b - 1e-15 for a, b in zip(l2s, l2s[1:]))
+
+    # a table cap below the strong mixing time truncates the rows, and each
+    # row is the distance of the exactly evolved walk
+    from permword import DenseGroup, distance_to_uniform, evolve_exact, three_cycle_lazy_measure
+
+    code, rec = run_record(
+        capsys,
+        ["mix-exact", "--n", "5", "--group", "alt", "--walk", "3cycles", "--table-max", "3"],
+    )
+    assert code == 0
+    p = rec["payload"]
+    assert p["strong_mixing_time"] > 3
+    assert len(p["k_vs_distance"]) == min(p["strong_mixing_time"], 3) + 1
+    group, m = DenseGroup.alt(5), three_cycle_lazy_measure(5)
+    for row in p["k_vs_distance"]:
+        assert row["l2"] == distance_to_uniform(evolve_exact(m, group, row["k"]), 2)
 
 
 def test_mix_exact_custom_generators(capsys):

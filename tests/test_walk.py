@@ -90,6 +90,10 @@ def test_dense_group_indexing():
     alt = DenseGroup.alt(5)
     assert all(alt.perm_at(i).is_even() for i in range(alt.size))
     assert not alt.contains(perm_from_cycles(5, (1, 2)))
+    with pytest.raises(ValueError):
+        alt.index_of(perm_from_cycles(5, (1, 2)))
+    with pytest.raises(ValueError):
+        alt.index_rows(np.array([[0, 0, 1, 2, 3]]))
 
 
 def dict_convolve(masses, group, k):
