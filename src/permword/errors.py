@@ -23,3 +23,9 @@ class MixingCapError(PermwordError):
 
 class WordParseError(PermwordError, ValueError):
     """Malformed word text."""
+
+
+class InvariantError(PermwordError, AssertionError):
+    """A result failed the check that must hold for every output (for
+    example, a synthesized word that does not evaluate to its target).
+    Raised explicitly, so ``python -O`` keeps the check."""

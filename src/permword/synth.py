@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import RetryExhaustedError, SideConditionError
+from .errors import InvariantError, RetryExhaustedError, SideConditionError
 from .perm import Permutation, three_cycle_factorization
 from .shrink import LongCycleElement, ShrinkConfig, shrink_support
 from .schreier import conditioned_walk
@@ -335,9 +335,10 @@ def _attach_phi(ctx: SynthContext) -> None:
 
 def _preimage_label_row(ctx: SynthContext, gamma: WordElement) -> np.ndarray:
     """row[j - 1] = label of point_at(j)^(gamma^-1), 0 when off the cycle."""
-    lab = ctx.labeling
-    inv = gamma.perm.inverse()
-    return np.array([lab.label_of(inv.apply(p)) for p in lab.points], dtype=np.int64)
+    points = np.array(ctx.labeling.points) - 1
+    labels = np.zeros(ctx.degree, dtype=np.int64)
+    labels[points] = np.arange(1, points.shape[0] + 1)
+    return labels[gamma.perm.inverse().images[points]]
 
 
 def _extend_pool(ctx: SynthContext, count: int) -> None:
@@ -538,5 +539,6 @@ def synthesize(ctx: SynthContext, target: Permutation) -> Word:
     for factor in three_cycle_factorization(rest):
         parts.append(_factor_word(ctx, factor))
     out = Cat(tuple(parts))
-    assert evaluate(out, ctx.g, ctx.h) == target
+    if evaluate(out, ctx.g, ctx.h) != target:
+        raise InvariantError("synthesized word does not evaluate to the target")
     return out

@@ -17,7 +17,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from . import kernels
-from .errors import MixingCapError
+from .errors import InvariantError, MixingCapError
 from .perm import Permutation
 from .word import GEN_G, GEN_H, Cat, Inv, Word
 
@@ -318,7 +318,9 @@ def evolution(m: WalkMeasure, group: DenseGroup):
     while True:
         yield k, d
         d = kernels.convolve_steps(d, idx, probs, 1)
-        assert abs(d.sum() - 1.0) <= 1e-9, "convolution lost probability mass"
+        mass = d.sum()
+        if abs(mass - 1.0) > 1e-9:
+            raise InvariantError(f"convolution step {k + 1} left total mass {mass}, not 1")
         k += 1
 
 
@@ -408,24 +410,25 @@ def sample_walk(
 ):
     """Draw one k-step walk product. With return_word=True also return the
     word of non-identity draws (requires every charged non-identity atom to
-    carry a symbol, as lazy_generator_measure provides)."""
+    carry a symbol, as lazy_generator_measure provides).
+
+    All k steps are drawn, so the generator stream does not depend on the
+    measure's laziness; only the draws of non-identity atoms are tracked.
+    """
     n = m.degree
     probs = np.array([a.prob for a in m.atoms])
     draws = rng.choice(len(m.atoms), size=k, p=probs)
+    moves = np.array([not a.perm.is_identity() for a in m.atoms])
+    steps = draws[moves[draws]]
     tables = np.stack([a.perm.images for a in m.atoms]).astype(np.int32)
-    pos = kernels.track_points(tables, draws[None, :], np.arange(n, dtype=np.int32))
+    pos = kernels.track_points(tables, steps[None, :], np.arange(n, dtype=np.int32))
     result = Permutation(pos[0])
     if not return_word:
         return result
-    syms = []
-    for i in draws:
-        atom = m.atoms[int(i)]
-        if atom.perm.is_identity():
-            continue
-        if atom.symbol is None:
-            raise ValueError("measure has unlabeled non-identity atoms")
-        syms.append(atom.symbol)
-    return result, Cat(tuple(syms))
+    symbols = [m.atoms[i].symbol for i in steps.tolist()]
+    if any(s is None for s in symbols):
+        raise ValueError("measure has unlabeled non-identity atoms")
+    return result, Cat(tuple(symbols))
 
 
 # -- small enumerated subgroups (shared oracle machinery) --------------------------

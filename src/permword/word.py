@@ -19,7 +19,9 @@ import re
 from dataclasses import dataclass
 from typing import Callable, Iterable
 
-from .errors import WordParseError
+import numpy as np
+
+from .errors import InvariantError, WordParseError
 from .perm import Permutation
 
 GENERATOR_NAMES = ("g", "h")
@@ -140,23 +142,58 @@ def _reduce(
 
 
 def evaluate(w: Word, g: Permutation, h: Permutation) -> Permutation:
-    """Image of the word under g, h. Pow uses square-and-multiply on
-    permutations, so deep powers cost O(n log exponent)."""
+    """Image of the word under g, h.
+
+    One iterative pass over the DAG, memoized by node identity, on raw
+    0-based image arrays: Cat composes left to right, Inv inverts by
+    scatter, and Pow uses square-and-multiply, so deep powers cost
+    O(n log exponent). Only the result is wrapped as a Permutation.
+    """
     if g.degree != h.degree:
         raise ValueError("generator degree mismatch")
-    ident = Permutation.identity(g.degree)
-    lookup = {"g": g, "h": h}
-
-    def do_pow(p: Permutation, k: int) -> Permutation:
-        return p ** k
-
-    def do_cat(parts: list) -> Permutation:
-        out = ident
-        for p in parts:
-            out = out * p
-        return out
-
-    return _reduce(w, lambda node: lookup[node.name], Permutation.inverse, do_pow, do_cat)
+    ident = np.arange(g.degree, dtype=np.intp)
+    gens = {"g": g.images.astype(np.intp), "h": h.images.astype(np.intp)}
+    memo: dict[int, np.ndarray] = {}
+    stack = [w]
+    while stack:
+        node = stack[-1]
+        key = id(node)
+        if key in memo:
+            stack.pop()
+            continue
+        if isinstance(node, Gen):
+            memo[key] = gens[node.name]
+        elif isinstance(node, (Inv, Pow)):
+            img = memo.get(id(node.child))
+            if img is None:
+                stack.append(node.child)
+                continue
+            if isinstance(node, Inv):
+                out = np.empty_like(img)
+                out[img] = ident
+            else:
+                k, out, cur = node.exponent, ident, img
+                while k:
+                    if k & 1:
+                        out = cur[out]
+                    k >>= 1
+                    if k:
+                        cur = cur[cur]
+            memo[key] = out
+        elif isinstance(node, Cat):
+            pending = [c for c in node.children if id(c) not in memo]
+            if pending:
+                stack.extend(reversed(pending))
+                continue
+            out = ident
+            for c in node.children:
+                # apply out first, then the child
+                out = memo[id(c)][out]
+            memo[key] = out
+        else:
+            raise TypeError(f"not a Word node: {node!r}")
+        stack.pop()
+    return Permutation._raw(memo[id(w)])
 
 
 def expanded_length(w: Word) -> int:
@@ -376,7 +413,7 @@ class WordElement:
     def verify(self, g: Permutation, h: Permutation) -> "WordElement":
         got = evaluate(self.word, g, h)
         if got != self.perm:
-            raise AssertionError("word/permutation pair out of sync")
+            raise InvariantError("word/permutation pair out of sync")
         return self
 
     def inverse(self) -> "WordElement":

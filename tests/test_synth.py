@@ -2,14 +2,21 @@
 construction, commutator 3-cycles, and end-to-end exactness."""
 
 import math
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import permword
 from permword import (
     Cat,
+    InvariantError,
     Permutation,
     evaluate,
     expanded_length,
@@ -19,8 +26,10 @@ from permword import (
     random_uniform,
     synthesize,
 )
+from permword import synth
 from permword.synth import (
     CycleLabeling,
+    _preimage_label_row,
     build_3cycle,
     build_3cycle_via_phi,
     solve_congruence,
@@ -187,3 +196,51 @@ def test_synthesize_off_cycle_support_via_relocation(ctx20):
     target = Permutation.from_cycles(20, [(a, b, c)])
     w = synthesize(ctx, target)
     assert evaluate(w, ctx.g, ctx.h) == target
+
+
+def test_preimage_label_row_matches_pointwise_labels(ctx20):
+    lab = ctx20.labeling
+    for gamma in ctx20.pool_gammas:
+        inv = gamma.perm.inverse()
+        want = [lab.label_of(inv.apply(p)) for p in lab.points]
+        row = _preimage_label_row(ctx20, gamma)
+        assert row.dtype == np.int64
+        assert row.tolist() == want
+
+
+def test_synthesize_raises_invariant_error_on_wrong_word(ctx20, monkeypatch):
+    monkeypatch.setattr(synth, "_factor_word", lambda ctx, factor: Cat(()))
+    with pytest.raises(InvariantError):
+        synthesize(ctx20, Permutation.from_cycles(20, [(1, 2, 3)]))
+
+
+def test_synthesize_check_survives_python_O():
+    # python -O strips asserts; the final check must still run
+    code = textwrap.dedent(
+        """
+        import numpy as np
+        from permword import InvariantError, Permutation, prepare_context, random_uniform, synth
+        from permword.word import Cat
+
+        rng = np.random.default_rng(0)
+        g, h = random_uniform(20, rng), random_uniform(20, rng)
+        ctx = prepare_context(g, h, rng)
+        synth._factor_word = lambda ctx, factor: Cat(())
+        try:
+            synth.synthesize(ctx, Permutation.from_cycles(20, [(1, 2, 3)]))
+            print(__debug__, "returned")
+        except InvariantError:
+            print(__debug__, "InvariantError")
+        """
+    )
+    # same environment, with the permword copy this process imported first
+    root = str(Path(permword.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [root, os.environ.get("PYTHONPATH")]))
+    out = subprocess.run(
+        [sys.executable, "-O", "-c", code],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": path},
+    )
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.split() == ["False", "InvariantError"]

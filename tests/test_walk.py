@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from permword import (
+    Cat,
     DenseGroup,
     Distribution,
     Permutation,
@@ -21,11 +22,13 @@ from permword import (
     mu_prime,
     random_uniform,
     sample_walk,
+    serialize,
     strong_mixing_time,
     three_cycle_lazy_measure,
     three_cycles,
 )
-from permword.errors import MixingCapError
+from permword import kernels
+from permword.errors import InvariantError, MixingCapError
 from permword.walk import convolution_matrix, generated_elements
 
 from conftest import perm_from_cycles
@@ -121,6 +124,15 @@ def test_evolve_exact_against_dict_oracle(k):
     assert abs(got.probs.sum() - 1.0) < 1e-12
 
 
+def test_evolution_mass_check_raises(monkeypatch):
+    real = kernels.convolve_steps
+    monkeypatch.setattr(
+        kernels, "convolve_steps", lambda d, idx, probs, steps: real(d, idx, probs, steps) / 2
+    )
+    with pytest.raises(InvariantError):
+        evolve_exact(three_cycle_lazy_measure(4), DenseGroup.alt(4), 1)
+
+
 def test_distance_to_uniform_extremes():
     group = DenseGroup.alt(4)
     uni = Distribution.uniform(group)
@@ -175,6 +187,48 @@ def test_sample_walk_word_matches_product(rng):
 def test_sample_walk_zero_steps(rng):
     m = three_cycle_lazy_measure(5)
     assert sample_walk(m, 0, rng).is_identity()
+
+
+def tracked_walk(m, k, rng):
+    """Reference: the same single draw, then every step tracked, lazy ones
+    included; also returns the symbols of the non-identity draws."""
+    probs = np.array([a.prob for a in m.atoms])
+    draws = rng.choice(len(m.atoms), size=k, p=probs)
+    pos = np.arange(m.degree)
+    symbols = []
+    for i in draws:
+        atom = m.atoms[int(i)]
+        pos = atom.perm.images[pos]
+        if not atom.perm.is_identity():
+            symbols.append(atom.symbol)
+    return Permutation(pos), symbols
+
+
+@pytest.mark.parametrize("k", [0, 1, 229])
+def test_sample_walk_matches_full_tracking(k):
+    n = 12
+    pair = random_uniform(n, np.random.default_rng(8)), random_uniform(n, np.random.default_rng(9))
+    involution = perm_from_cycles(n, (1, 2), (3, 4)), perm_from_cycles(n, tuple(range(1, n + 1)))
+    labeled = [lazy_generator_measure(*pair), lazy_generator_measure(*involution)]
+    assert len(labeled[1].atoms) == 4  # g == g^-1 merged into one atom
+    for seed in range(4):
+        for m in labeled:
+            rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+            p, w = sample_walk(m, k, rng, return_word=True)
+            want_p, want_symbols = tracked_walk(m, k, ref)
+            assert p == want_p
+            assert serialize(w) == serialize(Cat(tuple(want_symbols)))
+            assert rng.integers(2**62) == ref.integers(2**62)  # same stream consumed
+        m = three_cycle_lazy_measure(6)
+        rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+        assert sample_walk(m, k, rng) == tracked_walk(m, k, ref)[0]
+        assert rng.integers(2**62) == ref.integers(2**62)
+
+
+def test_sample_walk_word_needs_labeled_atoms():
+    m = three_cycle_lazy_measure(5)
+    with pytest.raises(ValueError):
+        sample_walk(m, 20, np.random.default_rng(0), return_word=True)
 
 
 def test_generated_elements_sizes():

@@ -11,6 +11,7 @@ from permword import (
     GEN_G,
     GEN_H,
     Gen,
+    InvariantError,
     Inv,
     Permutation,
     Pow,
@@ -124,6 +125,45 @@ def test_shared_subwords_count_once():
     assert generator_counts(w).g == 2**40
 
 
+def test_evaluate_deep_shared_chains_match_powers(gh):
+    g, h = gh
+    w, gw = GEN_G, Cat((GEN_G, Inv(GEN_H)))
+    for _ in range(40):
+        w, gw = Cat((w, w)), Cat((gw, gw))
+    assert evaluate(w, g, h) == evaluate(Pow(GEN_G, 2**40), g, h) == g ** (2**40)
+    assert evaluate(gw, g, h) == (g * h.inverse()) ** (2**40)
+    assert evaluate(Inv(gw), g, h) == (g * h.inverse()) ** -(2**40)
+
+
+def test_evaluate_trivial_powers_and_empty_cat(gh):
+    g, h = gh
+    for w in (
+        Pow(GEN_G, 0),
+        Pow(Cat((GEN_G, Inv(GEN_H))), 0),
+        Cat(()),
+        Pow(Cat(()), 5),
+        Inv(Cat(())),
+        Cat((Cat(()), Pow(GEN_H, 0))),
+    ):
+        assert evaluate(w, g, h).is_identity()
+    assert evaluate(Pow(GEN_H, 1), g, h) == h
+
+
+def test_evaluate_rejects_non_word_nodes(gh):
+    g, h = gh
+    with pytest.raises(TypeError):
+        evaluate(Word(), g, h)
+    bad = Cat((GEN_G,))
+    object.__setattr__(bad, "children", (GEN_G, "h"))  # bypasses Cat's own check
+    with pytest.raises(TypeError):
+        evaluate(Cat((GEN_H, bad)), g, h)
+
+
+def test_evaluate_rejects_degree_mismatch():
+    with pytest.raises(ValueError):
+        evaluate(GEN_G, Permutation.identity(5), Permutation.identity(6))
+
+
 def test_identity_equality_not_structural():
     a, b = Cat((GEN_G,)), Cat((GEN_G,))
     assert a != b
@@ -153,6 +193,12 @@ def test_word_element_algebra(gh):
     assert evaluate(conj.word, g, h) == conj.perm
     assert a.verify(g, h) is a
     with pytest.raises(AssertionError):
+        WordElement(GEN_G, h).verify(g, h)
+
+
+def test_verify_raises_invariant_error(gh):
+    g, h = gh
+    with pytest.raises(InvariantError):
         WordElement(GEN_G, h).verify(g, h)
 
 
