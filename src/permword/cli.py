@@ -207,8 +207,7 @@ def run_mix_exact(args) -> dict:
 
 def run_shrink(args) -> dict:
     g, h, rng = _seeded_pair(args.n, args.seed)
-    config = shrink_mod.ShrinkConfig(budget_coefficient=args.budget_c)
-    res = shrink_mod.shrink_support(g, h, rng, config)
+    res = shrink_mod.shrink_support(g, h, rng, budget_coefficient=args.budget_c)
     return {
         "n": args.n,
         "seed": args.seed,
@@ -364,7 +363,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = add("shrink", help="small-support element for a seeded random pair")
     sp.add_argument("--n", type=int, required=True)
-    sp.add_argument("--budget-c", type=float, default=10.0,
+    sp.add_argument("--budget-c", type=float, default=shrink_mod.BUDGET_COEFFICIENT,
                     help="word budget coefficient c in ceil(c n log2(n)^3)")
 
     sp = add("synth", help="synthesize a target permutation as a generator word")

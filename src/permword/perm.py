@@ -221,41 +221,6 @@ class Permutation:
 # -- free functions -----------------------------------------------------------
 
 
-def compose(p: Permutation, q: Permutation) -> Permutation:
-    return p * q
-
-
-def invert(p: Permutation) -> Permutation:
-    return p.inverse()
-
-
-def conjugate(p: Permutation, r: Permutation) -> Permutation:
-    """r^-1 p r: relabels the support of p through r."""
-    return p.conjugate(r)
-
-
-def support(p: Permutation) -> tuple[int, ...]:
-    return p.support()
-
-
-def cycle_structure(p: Permutation) -> list[tuple[int, ...]]:
-    """Non-trivial cycles only (length >= 2), each led by its minimum."""
-    return p.cycles(include_fixed=False)
-
-
-def longest_cycle(p: Permutation) -> tuple[tuple[int, ...], int]:
-    """The longest cycle together with its length.
-
-    Includes length-1 cycles so the identity reports ((1,), 1).
-    """
-    c = p.longest_cycle()
-    return c, len(c)
-
-
-def parity(p: Permutation) -> str:
-    return "even" if p.is_even() else "odd"
-
-
 def random_uniform(n: int, rng: np.random.Generator) -> Permutation:
     """Uniform element of Sym(n) drawn from the given generator."""
     return Permutation._raw(rng.permutation(n).astype(np.int32))

@@ -210,10 +210,10 @@ def _conditioned_walk_counted(
     k: int,
     constraints: Sequence[tuple[int, int]],
     rng: np.random.Generator,
-    max_tries: int | None = None,
 ) -> tuple[Permutation, Word, int]:
     """Rejection-sample a lazy k-step walk hitting all (source -> target)
-    constraints; returns (permutation, word, trials used).
+    constraints; returns (permutation, word, trials used). Raises
+    RetryExhaustedError after 20 n^2 trials.
 
     Each step is the identity with probability 1/2, else one of g, g^-1,
     h, h^-1 with probability 1/8 each. Only the constrained points are
@@ -226,8 +226,7 @@ def _conditioned_walk_counted(
     n = g.degree
     if k < 1:
         raise ValueError("walk length must be >= 1")
-    if max_tries is None:
-        max_tries = 20 * n * n
+    max_tries = 20 * n * n
     src, tgt = _validate_constraints(n, constraints)
     tables = walk_step_tables(g, h)
     # draw codes 0..7; 0..3 pick a generator row, 4..7 all mean "stay"
@@ -264,7 +263,6 @@ def conditioned_walk(
     k: int,
     constraints: Sequence[tuple[int, int]],
     rng: np.random.Generator,
-    max_tries: int | None = None,
 ) -> tuple[Permutation, Word]:
-    sigma, word, _ = _conditioned_walk_counted(g, h, k, constraints, rng, max_tries)
+    sigma, word, _ = _conditioned_walk_counted(g, h, k, constraints, rng)
     return sigma, word

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BudgetExceededError, RetryExhaustedError
+from .errors import BudgetExceededError, InvariantError, RetryExhaustedError
 from .perm import Permutation
 from .schreier import _conditioned_walk_counted
 from .word import (
@@ -30,6 +30,20 @@ from .word import (
     WordElement,
     expanded_length,
 )
+
+# Absolute constants of the construction, fixed so a seed reproduces a run.
+WALK_CONSTANT = 40.0  # lazy-walk length ceil(WALK_CONSTANT * ln n)
+BUDGET_COEFFICIENT = 10.0  # word-length budget c * n * (log2 n)^BUDGET_EXPONENT
+BUDGET_EXPONENT = 3
+SCAN_CONSTANT = 10.0  # long-cycle scan over powers j <= ceil(SCAN_CONSTANT * ln n)
+FALLBACK_WORDS = 24  # short random prefixes tried when the scan finds nothing
+SIGMA_BUDGET = 24  # conjugator draws per commutator step
+X_ONE_SCAN = 10  # draws that search for the best (X, support) before settling
+
+
+def walk_length(n: int) -> int:
+    """Length k of the lazy walks that shrinking and synthesis draw."""
+    return math.ceil(WALK_CONSTANT * math.log(n))
 
 
 @dataclass(frozen=True)
@@ -82,10 +96,8 @@ def find_long_cycle_element(
     g: Permutation,
     h: Permutation,
     rng: np.random.Generator,
-    scan_constant: float = 10.0,
-    fallback_words: int = 24,
 ) -> LongCycleElement:
-    """Scan h^j and g*h^j for j up to ceil(scan_constant * ln n).
+    """Scan h^j and g*h^j for j up to ceil(SCAN_CONSTANT * ln n).
 
     Keeps the best-scoring valid candidate over the whole scan. If none
     is valid, retries with fresh random short words w in front (w * h^j,
@@ -111,7 +123,7 @@ def find_long_cycle_element(
             f"every qualifying cycle type at degree {n} is odd, "
             "unreachable from two even generators"
         )
-    jmax = min(math.ceil(scan_constant * math.log(n)), h.order())
+    jmax = min(math.ceil(SCAN_CONSTANT * math.log(n)), h.order())
 
     best = None
     hp = h
@@ -163,7 +175,7 @@ def find_long_cycle_element(
         return None
 
     short_len = math.ceil(2 * math.log(n)) + 2
-    for _ in range(fallback_words):
+    for _ in range(FALLBACK_WORDS):
         found = scan_with_prefix(short_len)
         if found is not None:
             return found
@@ -173,7 +185,7 @@ def find_long_cycle_element(
             return found
     raise RetryExhaustedError(
         f"no element with a cycle of length >= 3n/4 and nontrivial power "
-        f"found in {jmax} powers and {fallback_words + 8} fallback words"
+        f"found in {jmax} powers and {FALLBACK_WORDS + 8} fallback words"
     )
 
 
@@ -183,9 +195,6 @@ def _commutator_step_counted(
     h: Permutation,
     k: int,
     rng: np.random.Generator,
-    sigma_budget: int = 24,
-    x_one_scan: int = 10,
-    max_walk_tries: int | None = None,
 ) -> tuple[WordElement, int]:
     """One shrink step: replace s by [s, s^sigma] for a conditioned sigma.
 
@@ -196,11 +205,12 @@ def _commutator_step_counted(
     moves at most 3X points, and X = 1 gives a support-3 element
     outright.
 
-    Acceptance: X = 1 is taken immediately; for the first x_one_scan
+    Acceptance: X = 1 is taken immediately; for the first X_ONE_SCAN
     draws we keep the best (X, support) seen, then settle for any draw
     with X below the rejection threshold 2(1 + (7/6)|S|^2/n) that also
     makes progress (support must strictly drop once |S| > 24). Raises
-    RetryExhaustedError after sigma_budget draws.
+    RetryExhaustedError after SIGMA_BUDGET draws, and InvariantError if
+    a result breaks the non-identity or 3X guarantee.
     """
     n = g.degree
     S = s.perm.support()
@@ -217,36 +227,38 @@ def _commutator_step_counted(
         Ssig = {sig.perm.apply(x) for x in S}
         X = len(in_S & Ssig)
         supp_r = r.perm.support_size()
-        assert not r.perm.is_identity(), "commutator guarantee violated"
-        assert supp_r <= 3 * X, "support bound 3X violated"
+        if r.perm.is_identity():
+            raise InvariantError("commutator guarantee violated")
+        if supp_r > 3 * X:
+            raise InvariantError("support bound 3X violated")
         return r, X, supp_r
 
     best: tuple[tuple[int, int], WordElement] | None = None
     trials = 0
-    for t in range(sigma_budget):
+    for t in range(SIGMA_BUDGET):
         y1 = S[rng.integers(size)]
         y1p = S[rng.integers(size)]
         y2 = complement[rng.integers(len(complement))]
         y2p = s.perm.preimage(y1p)
         sigma_perm, sigma_word, tries = _conditioned_walk_counted(
-            g, h, k, [(y1, y1p), (y2, y2p)], rng, max_tries=max_walk_tries
+            g, h, k, [(y1, y1p), (y2, y2p)], rng
         )
         trials += tries
         r, X, supp_r = build(WordElement(sigma_word, sigma_perm))
         if X == 1:
             return r, trials
         qualifies = X <= threshold and (size <= 24 or supp_r < size)
-        if t < x_one_scan:
+        if t < X_ONE_SCAN:
             if qualifies and (best is None or (X, supp_r) < best[0]):
                 best = ((X, supp_r), r)
-            if t == x_one_scan - 1 and best is not None:
+            if t == X_ONE_SCAN - 1 and best is not None:
                 return best[1], trials
         elif qualifies:
             return r, trials
     if best is not None:
         return best[1], trials
     raise RetryExhaustedError(
-        f"no acceptable conjugator in {sigma_budget} draws "
+        f"no acceptable conjugator in {SIGMA_BUDGET} draws "
         f"(support {size}, threshold {threshold:.1f})"
     )
 
@@ -264,16 +276,6 @@ def commutator_step(
 
 
 @dataclass(frozen=True)
-class ShrinkConfig:
-    walk_constant: float = 40.0
-    budget_coefficient: float = 10.0
-    budget_exponent: int = 3
-    max_iterations: int | None = None
-    sigma_budget: int = 24
-    x_one_scan: int = 10
-
-
-@dataclass(frozen=True)
 class ShrinkResult:
     element: Permutation
     word: Word
@@ -283,17 +285,17 @@ class ShrinkResult:
     long_cycle: LongCycleElement
 
 
-def word_length_budget(n: int, config: ShrinkConfig) -> int:
-    return math.ceil(
-        config.budget_coefficient * n * math.log2(n) ** config.budget_exponent
-    )
+def word_length_budget(
+    n: int, budget_coefficient: float = BUDGET_COEFFICIENT
+) -> int:
+    return math.ceil(budget_coefficient * n * math.log2(n) ** BUDGET_EXPONENT)
 
 
 def shrink_support(
     g: Permutation,
     h: Permutation,
     rng: np.random.Generator,
-    config: ShrinkConfig | None = None,
+    budget_coefficient: float = BUDGET_COEFFICIENT,
 ) -> ShrinkResult:
     """Produce a word in g, h whose permutation moves at most 3 points.
 
@@ -302,11 +304,9 @@ def shrink_support(
     support is at most n - l <= n/4) and iterates commutator steps until
     the support is at most 3. Iteration count is capped at
     ceil(4 log2 log2 n) + 4 and the word length at
-    budget_coefficient * n * (log2 n)^exponent; exceeding either raises
-    rather than returning an oversized result.
+    budget_coefficient * n * (log2 n)^BUDGET_EXPONENT; exceeding either
+    raises rather than returning an oversized result.
     """
-    if config is None:
-        config = ShrinkConfig()
     if g.degree != h.degree:
         raise ValueError("degree mismatch")
     n = g.degree
@@ -314,15 +314,12 @@ def shrink_support(
     l = v.length
     s = WordElement(Pow(v.word, l), v.perm**l)
     supp = s.perm.support_size()
-    assert 0 < supp <= n - l, "v^l support must be nonzero and avoid the cycle"
+    if not 0 < supp <= n - l:
+        raise InvariantError("v^l support must be nonzero and avoid the cycle")
 
-    k = math.ceil(config.walk_constant * math.log(n))
-    budget = word_length_budget(n, config)
-    max_iter = (
-        config.max_iterations
-        if config.max_iterations is not None
-        else math.ceil(4 * math.log2(math.log2(n))) + 4
-    )
+    k = walk_length(n)
+    budget = word_length_budget(n, budget_coefficient)
+    max_iter = math.ceil(4 * math.log2(math.log2(n))) + 4
     trace = [supp]
     trials: list[int] = []
     iterations = 0
@@ -331,15 +328,7 @@ def shrink_support(
             raise RetryExhaustedError(
                 f"support still {s.perm.support_size()} after {max_iter} steps"
             )
-        s, tries = _commutator_step_counted(
-            s,
-            g,
-            h,
-            k,
-            rng,
-            sigma_budget=config.sigma_budget,
-            x_one_scan=config.x_one_scan,
-        )
+        s, tries = _commutator_step_counted(s, g, h, k, rng)
         iterations += 1
         trace.append(s.perm.support_size())
         trials.append(tries)
@@ -347,10 +336,10 @@ def shrink_support(
             raise BudgetExceededError(
                 f"word length {expanded_length(s.word)} exceeds budget {budget}"
             )
-    if iterations > 0:
-        # commutators are even, and an even non-identity element moving
-        # at most 3 points is exactly a 3-cycle
-        assert s.perm.is_even() and s.perm.support_size() == 3
+    # commutators are even, and an even non-identity element moving at
+    # most 3 points is exactly a 3-cycle
+    if iterations > 0 and not (s.perm.is_even() and s.perm.support_size() == 3):
+        raise InvariantError("shrink result is not an even support-3 element")
     return ShrinkResult(
         element=s.perm,
         word=s.word,

@@ -11,14 +11,13 @@ word evaluates to the target exactly rather than approximately.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import InvariantError, RetryExhaustedError, SideConditionError
 from .perm import Permutation, three_cycle_factorization
-from .shrink import LongCycleElement, ShrinkConfig, shrink_support
+from .shrink import LongCycleElement, shrink_support, walk_length
 from .schreier import conditioned_walk
 from .walk import WalkMeasure, lazy_generator_measure, sample_walk
 from .word import (
@@ -43,6 +42,9 @@ __all__ = [
     "build_3cycle_via_phi",
     "synthesize",
 ]
+
+POOL_INIT = 256  # gamma walks drawn while preparing a context
+POOL_CAP = 8192  # pool size past which edge queries take the phi route
 
 
 class CycleLabeling:
@@ -97,10 +99,8 @@ class SynthContext:
     labeling: CycleLabeling
     kappa: WordElement
     rng: np.random.Generator
-    walk_k: int
+    walk_k: int  # walk length, also the walk count each relocation may draw
     measure: WalkMeasure
-    relocation_cap: int
-    pool_cap: int
     kappa_labels: tuple[int, int, int] = (0, 0, 0)
     base: WordElement | None = None
     x: int = 0
@@ -170,7 +170,7 @@ def _relocate_kappa(ctx: SynthContext) -> None:
     if set(ctx.kappa.perm.support()) <= inside:
         return
     start = ctx.kappa
-    for _ in range(ctx.relocation_cap):
+    for _ in range(ctx.walk_k):
         rho = _draw_walk(ctx)
         cand = start.conjugated_by(rho)
         if set(cand.perm.support()) <= inside:
@@ -183,11 +183,6 @@ def prepare_context(
     g: Permutation,
     h: Permutation,
     rng: np.random.Generator,
-    config: ShrinkConfig | None = None,
-    *,
-    walk_constant: float = 40.0,
-    pool_init: int = 256,
-    pool_cap: int = 8192,
 ) -> SynthContext:
     """Shrink the generators and assemble the label machinery.
 
@@ -198,10 +193,10 @@ def prepare_context(
     if g.degree != h.degree:
         raise ValueError("generator degree mismatch")
     n = g.degree
-    res = shrink_support(g, h, rng, config)
+    res = shrink_support(g, h, rng)
     v = res.long_cycle
     kappa = WordElement(res.word, res.element)
-    k = math.ceil(walk_constant * math.log(n))
+    k = walk_length(n)
     if kappa.perm.support_size() == 2:
         kappa = _upgrade_transposition(g, h, kappa, k, rng)
     ctx = SynthContext(
@@ -213,8 +208,6 @@ def prepare_context(
         rng=rng,
         walk_k=k,
         measure=lazy_generator_measure(g, h),
-        relocation_cap=k,
-        pool_cap=pool_cap,
     )
     _relocate_kappa(ctx)
     build_base_cycle(ctx, rng)
@@ -223,7 +216,7 @@ def prepare_context(
         ctx.parity_witness = WordElement(GEN_G, g)
     elif not h.is_even():
         ctx.parity_witness = WordElement(GEN_H, h)
-    _extend_pool(ctx, pool_init)
+    _extend_pool(ctx, POOL_INIT)
     return ctx
 
 
@@ -263,7 +256,7 @@ def build_base_cycle(
     c = _kappa_labels(ctx.kappa.perm, lab)
     offs = np.arange(l, dtype=np.int64)
     ident = WordElement(Cat(()), Permutation.identity(ctx.degree))
-    for attempt in range(ctx.relocation_cap + 1):
+    for attempt in range(ctx.walk_k + 1):
         gamma = ident if attempt == 0 else _draw_walk(ctx, rng)
         fwd = np.array(
             [lab.label_of(gamma.perm.apply(p)) for p in lab.points], dtype=np.int64
@@ -399,7 +392,7 @@ def _pool_edge_atom(
             if third in forbidden:
                 continue
             return _conjugated_atom(ctx, gamma, s, alpha, beta, third), third
-        if len(ctx.pool_gammas) >= ctx.pool_cap:
+        if len(ctx.pool_gammas) >= POOL_CAP:
             return None
         _extend_pool(ctx, len(ctx.pool_gammas))
 
@@ -510,7 +503,7 @@ def _factor_word(ctx: SynthContext, factor: Permutation) -> Word:
     inside = ctx.cycle_set
     if set(factor.support()) <= inside:
         return build_3cycle(ctx, *_factor_labels(ctx.labeling, factor)).word
-    for _ in range(ctx.relocation_cap):
+    for _ in range(ctx.walk_k):
         rho = _draw_walk(ctx)
         moved = factor.conjugate(rho.perm)
         if set(moved.support()) <= inside:

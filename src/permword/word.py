@@ -144,56 +144,41 @@ def _reduce(
 def evaluate(w: Word, g: Permutation, h: Permutation) -> Permutation:
     """Image of the word under g, h.
 
-    One iterative pass over the DAG, memoized by node identity, on raw
-    0-based image arrays: Cat composes left to right, Inv inverts by
-    scatter, and Pow uses square-and-multiply, so deep powers cost
-    O(n log exponent). Only the result is wrapped as a Permutation.
+    A fold over the DAG on raw 0-based image arrays: Cat composes left to
+    right, Inv inverts by scatter, and Pow uses square-and-multiply, so
+    deep powers cost O(n log exponent). Only the result is wrapped as a
+    Permutation.
     """
     if g.degree != h.degree:
         raise ValueError("generator degree mismatch")
     ident = np.arange(g.degree, dtype=np.intp)
     gens = {"g": g.images.astype(np.intp), "h": h.images.astype(np.intp)}
-    memo: dict[int, np.ndarray] = {}
-    stack = [w]
-    while stack:
-        node = stack[-1]
-        key = id(node)
-        if key in memo:
-            stack.pop()
-            continue
-        if isinstance(node, Gen):
-            memo[key] = gens[node.name]
-        elif isinstance(node, (Inv, Pow)):
-            img = memo.get(id(node.child))
-            if img is None:
-                stack.append(node.child)
-                continue
-            if isinstance(node, Inv):
-                out = np.empty_like(img)
-                out[img] = ident
-            else:
-                k, out, cur = node.exponent, ident, img
-                while k:
-                    if k & 1:
-                        out = cur[out]
-                    k >>= 1
-                    if k:
-                        cur = cur[cur]
-            memo[key] = out
-        elif isinstance(node, Cat):
-            pending = [c for c in node.children if id(c) not in memo]
-            if pending:
-                stack.extend(reversed(pending))
-                continue
-            out = ident
-            for c in node.children:
-                # apply out first, then the child
-                out = memo[id(c)][out]
-            memo[key] = out
-        else:
-            raise TypeError(f"not a Word node: {node!r}")
-        stack.pop()
-    return Permutation._raw(memo[id(w)])
+
+    def do_inv(img):
+        out = np.empty_like(img)
+        out[img] = ident
+        return out
+
+    def do_pow(img, k):
+        out = ident
+        while k:
+            if k & 1:
+                out = img[out]
+            k >>= 1
+            if k:
+                img = img[img]
+        return out
+
+    def do_cat(imgs):
+        out = ident
+        for img in imgs:
+            # apply out first, then img
+            out = img[out]
+        return out
+
+    return Permutation._raw(
+        _reduce(w, lambda node: gens[node.name], do_inv, do_pow, do_cat)
+    )
 
 
 def expanded_length(w: Word) -> int:

@@ -6,13 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import permword
 from permword import (
     Permutation,
-    conjugate,
-    cycle_structure,
     format_permutation,
-    longest_cycle,
-    parity,
     parse_permutation,
     random_even,
     random_uniform,
@@ -30,7 +27,7 @@ def test_identity_basics():
     assert e.support() == ()
     assert e.cycle_type() == (1, 1, 1, 1, 1)
     assert e.order() == 1
-    assert parity(e) == "even"
+    assert e.parity() == 0 and e.is_even()
 
 
 def test_composition_applies_left_factor_first():
@@ -58,7 +55,7 @@ def test_apply_and_preimage_are_one_based_and_inverse():
 def test_conjugate_relabels_support():
     p = Permutation.from_cycles(5, [(1, 2, 3)])
     r = Permutation.from_cycles(5, [(1, 4), (3, 5)])
-    got = conjugate(p, r)
+    got = p.conjugate(r)
     # p moves 1 -> 2, so the conjugate moves r(1)=4 -> r(2)=2
     assert got == Permutation.from_cycles(5, [(4, 2, 5)])
     assert got == r.inverse() * p * r
@@ -67,14 +64,14 @@ def test_conjugate_relabels_support():
 def test_cycles_are_canonical():
     p = Permutation.from_cycles(6, [(5, 6), (2, 4, 3)])
     assert p.cycles() == [(1,), (2, 4, 3), (5, 6)]
-    assert cycle_structure(p) == [(2, 4, 3), (5, 6)]
+    assert p.cycles(include_fixed=False) == [(2, 4, 3), (5, 6)]
     assert p.cycle_type() == (3, 2, 1)
 
 
 def test_longest_cycle_breaks_ties_at_smallest_minimum():
     p = Permutation.from_cycles(6, [(4, 5, 6), (1, 2, 3)])
-    assert longest_cycle(p) == ((1, 2, 3), 3)
-    assert longest_cycle(Permutation.identity(3)) == ((1,), 1)
+    assert p.longest_cycle() == (1, 2, 3)
+    assert Permutation.identity(3).longest_cycle() == (1,)
 
 
 def test_parity_of_cycle_lengths():
@@ -151,6 +148,12 @@ def test_three_cycle_factorization_reconstructs(n, pyrng):
 def test_three_cycle_factorization_rejects_odd():
     with pytest.raises(ValueError):
         three_cycle_factorization(Permutation.from_cycles(4, [(1, 2)]))
+
+
+def test_every_exported_name_resolves():
+    missing = [name for name in permword.__all__ if not hasattr(permword, name)]
+    assert missing == []
+    assert len(set(permword.__all__)) == len(permword.__all__)
 
 
 def test_hash_consistency():

@@ -121,9 +121,9 @@ def test_conditioned_walk_trial_counts_scale_like_point_probability():
     tries_one = []
     tries_two = []
     for _ in range(40):
-        _, _, t1 = _conditioned_walk_counted(g, h, 50, [(1, 2)], rng, None)
+        _, _, t1 = _conditioned_walk_counted(g, h, 50, [(1, 2)], rng)
         tries_one.append(t1)
-        _, _, t2 = _conditioned_walk_counted(g, h, 50, [(1, 2), (3, 4)], rng, None)
+        _, _, t2 = _conditioned_walk_counted(g, h, 50, [(1, 2), (3, 4)], rng)
         tries_two.append(t2)
     assert 2 < np.mean(tries_one) < 40
     assert np.mean(tries_two) > 1.5 * np.mean(tries_one)
@@ -136,7 +136,7 @@ def test_conditioned_walk_exhausts_on_impossible_constraint():
     h = Permutation.from_cycles(6, [(2, 3, 4)])
     # the pair fixes points 5 and 6, so 5 -> 1 is unreachable
     with pytest.raises(RetryExhaustedError):
-        conditioned_walk(g, h, 20, [(5, 1)], np.random.default_rng(0), max_tries=200)
+        conditioned_walk(g, h, 20, [(5, 1)], np.random.default_rng(0))
 
 
 def test_conditioned_walk_validates_constraints():

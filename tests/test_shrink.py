@@ -1,14 +1,21 @@
 """Support shrinking: long-cycle extraction, commutator steps, budgets."""
 
 import math
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import permword
 from permword import (
     BudgetExceededError,
+    Cat,
+    InvariantError,
     Permutation,
-    ShrinkConfig,
     evaluate,
     expanded_length,
     find_long_cycle_element,
@@ -17,6 +24,7 @@ from permword import (
     shrink_support,
     word_length_budget,
 )
+from permword import shrink
 from permword.shrink import commutator_step
 
 from conftest import seeded_pair
@@ -93,24 +101,68 @@ def test_shrink_support_end_to_end(seed):
     assert evaluate(res.word, g, h) == res.element
     assert res.support_trace[-1] == res.element.support_size()
     assert len(res.trial_counts) == res.iterations
-    assert expanded_length(res.word) <= word_length_budget(60, ShrinkConfig())
+    assert expanded_length(res.word) <= word_length_budget(60)
 
 
 def test_shrink_respects_tiny_budget():
     # seed 1 at n = 60 needs at least one commutator iteration, whose word
     # cannot fit in a budget of a few symbols
     g, h, rng = seeded_pair(60, 1)
-    tiny = ShrinkConfig(budget_coefficient=1e-4)
     with pytest.raises(BudgetExceededError):
-        shrink_support(g, h, rng, tiny)
+        shrink_support(g, h, rng, budget_coefficient=1e-4)
 
 
 def test_budget_formula():
-    cfg = ShrinkConfig()
-    assert word_length_budget(100, cfg) == math.ceil(10 * 100 * math.log2(100) ** 3)
-    assert word_length_budget(100, ShrinkConfig(budget_coefficient=1.0)) == math.ceil(
+    assert word_length_budget(100) == math.ceil(10 * 100 * math.log2(100) ** 3)
+    assert word_length_budget(100, budget_coefficient=1.0) == math.ceil(
         100 * math.log2(100) ** 3
     )
+
+
+def _identity_walk(g, h, k, constraints, rng):
+    # sigma = e makes s^sigma = s, so the commutator [s, s^sigma] is e
+    return Permutation.identity(g.degree), Cat(()), 1
+
+
+def test_commutator_guarantee_raises_invariant_error(monkeypatch):
+    # seed 1 at n = 60 needs at least one commutator step
+    monkeypatch.setattr(shrink, "_conditioned_walk_counted", _identity_walk)
+    g, h, rng = seeded_pair(60, 1)
+    with pytest.raises(InvariantError, match="commutator guarantee"):
+        shrink_support(g, h, rng)
+
+
+def test_commutator_guarantee_survives_python_O():
+    # python -O strips asserts; the shrink invariants must still run
+    code = textwrap.dedent(
+        """
+        import numpy as np
+        from permword import InvariantError, Permutation, random_uniform, shrink
+        from permword.word import Cat
+
+        rng = np.random.default_rng(1)
+        g, h = random_uniform(60, rng), random_uniform(60, rng)
+        shrink._conditioned_walk_counted = (
+            lambda g, h, k, constraints, rng: (Permutation.identity(60), Cat(()), 1)
+        )
+        try:
+            shrink.shrink_support(g, h, rng)
+            print(__debug__, "returned")
+        except InvariantError:
+            print(__debug__, "InvariantError")
+        """
+    )
+    # same environment, with the permword copy this process imported first
+    root = str(Path(permword.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [root, os.environ.get("PYTHONPATH")]))
+    out = subprocess.run(
+        [sys.executable, "-O", "-c", code],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": path},
+    )
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.split() == ["False", "InvariantError"]
 
 
 def test_shrink_is_seed_stable():
