@@ -141,7 +141,7 @@ def run_schreier_gap(args) -> dict:
     }
 
 
-def _mix_measure(args) -> walk_mod.WalkMeasure:
+def _mix_measure(args, group: walk_mod.DenseGroup) -> walk_mod.WalkMeasure:
     n = args.n
     if args.walk == "3cycles":
         if args.group == "sym":
@@ -160,9 +160,7 @@ def _mix_measure(args) -> walk_mod.WalkMeasure:
     gens = [parse_permutation(s, degree=n) for s in args.gens.split(";")]
     if args.group == "alt" and any(not p.is_even() for p in gens):
         raise ValueError("custom generators must be even inside alt")
-    closure = walk_mod.generated_elements(gens)
-    size = math.factorial(n) // (2 if args.group == "alt" else 1)
-    if len(closure) != size:
+    if not walk_mod.generated_mask(gens, group).all():
         raise ValueError("custom generators do not generate the chosen group")
     support: list[Permutation] = []
     for p in gens:
@@ -174,7 +172,7 @@ def _mix_measure(args) -> walk_mod.WalkMeasure:
 
 def run_mix_exact(args) -> dict:
     group = walk_mod.DenseGroup(args.group, args.n)
-    m = _mix_measure(args)
+    m = _mix_measure(args, group)
     strong = walk_mod.strong_mixing_time(m, group, cap=args.cap)
     u = 1.0 / group.size
     last = min(strong, args.table_max)

@@ -23,17 +23,17 @@ from typing import Callable
 
 import numpy as np
 
+from .errors import InvariantError
 from .perm import Permutation
-from .walk import WalkMeasure, three_cycles
-from .word import (
-    GEN_G,
-    GEN_H,
-    Cat,
-    Inv,
-    Word,
-    expanded_length,
-    generator_counts,
+from .walk import (
+    DenseGroup,
+    WalkMeasure,
+    gather_matrix,
+    three_cycles,
+    transition_tables,
+    translated_class,
 )
+from .word import GEN_G, GEN_H, Cat, Inv, Word, generator_counts
 from .synth import SynthContext, synthesize
 
 __all__ = [
@@ -102,18 +102,13 @@ def reference_measure(g: Permutation, h: Permutation) -> dict[Permutation, Fract
     average of the translated classes tC and t^-1 C for an odd generator t;
     the two cosets can overlap, so masses accumulate.
     """
-    n = g.degree
-    cls = three_cycles(n)
-    base = Fraction(1, len(cls))
     if g.is_even() and h.is_even():
+        cls = three_cycles(g.degree)
+        base = Fraction(1, len(cls))
         return {c: base for c in cls}
-    t = g if not g.is_even() else h
-    out: dict[Permutation, Fraction] = {}
-    for trans in (t, t.inverse()):
-        for c in cls:
-            y = trans * c
-            out[y] = out.get(y, Fraction(0)) + base / 2
-    return out
+    counts = translated_class(g if not g.is_even() else h)
+    total = sum(counts.values())  # 2|C|
+    return {y: Fraction(k, total) for y, k in counts.items()}
 
 
 def _word_provider(
@@ -165,7 +160,6 @@ def _accumulate(
                 f"exact mode enumerates ~n^3/3 words; capped at n <= {MAX_EXACT_DEGREE}"
             )
         items = list(pprime.items())
-        weights = None
     else:
         if rng is None:
             raise ValueError("sample mode needs an rng")
@@ -174,15 +168,13 @@ def _accumulate(
         probs /= probs.sum()
         draws = rng.choice(len(support), size=samples, p=probs)
         items = [(support[int(i)], Fraction(1, samples)) for i in draws]
-        weights = probs  # kept only to signal sampled mode below
 
     sums = [Fraction(0)] * 4
     max_len = 0
     max_term = 0
     for y, mass in items:
-        w = provider(y)
-        length = expanded_length(w)
-        cnt = generator_counts(w)
+        cnt = generator_counts(provider(y))
+        length = cnt.total
         max_len = max(max_len, length)
         for i, c in enumerate((cnt.g, cnt.h, cnt.g_inv, cnt.h_inv)):
             sums[i] += length * c * mass
@@ -190,10 +182,11 @@ def _accumulate(
 
     a_value = inv_ps * max(sums)
     limit = inv_ps * Fraction(max_len) ** 2
-    assert a_value <= limit, "A exceeded its arithmetic bound (1/p(S)) * max|y|^2"
+    if a_value > limit:
+        raise InvariantError(f"A = {a_value} exceeds its bound (1/p(S)) * max|y|^2 = {limit}")
 
     err = None
-    if weights is not None:
+    if samples is not None:
         # Hoeffding half-width at 95% over the four sums; reported, not asserted
         a_value = float(a_value)
         err = inv_ps * max_term * math.sqrt(math.log(8 / 0.05) / (2 * samples))
@@ -269,13 +262,8 @@ def l2_comparison_bound(
     return group_order * math.exp(-k / (2 * A)) + reference_decay(j) ** 2
 
 
-def dense_walk_gap(
-    atoms: list[tuple[Permutation, float]], elements: list[Permutation]
-) -> float:
+def dense_walk_gap(m: WalkMeasure, group: DenseGroup) -> float:
     """Ordering spectral gap 1 - lambda_2 of a symmetric measure's walk,
-    by dense eigensolve over an explicit element list (oracle-sized groups)."""
-    from .walk import convolution_matrix
-
-    M = convolution_matrix(atoms, elements)
-    eig = np.linalg.eigvalsh(M)
+    by dense eigensolve over an enumerated group (oracle-sized groups)."""
+    eig = np.linalg.eigvalsh(gather_matrix(*transition_tables(m, group)))
     return float(1.0 - eig[-2])

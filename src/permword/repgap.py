@@ -19,6 +19,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import walk as walk_mod
+from .errors import InvariantError
 from .perm import Permutation
 
 
@@ -51,19 +52,6 @@ def conjugate_partition(lam: tuple[int, ...]) -> tuple[int, ...]:
     if not lam:
         return ()
     return tuple(sum(1 for a in lam if a > k) for k in range(lam[0]))
-
-
-def dominates(lam: tuple[int, ...], mu: tuple[int, ...]) -> bool:
-    """Dominance order: every prefix sum of lam at least matches mu's."""
-    if sum(lam) != sum(mu):
-        raise ValueError("dominance compares partitions of the same n")
-    acc_l = acc_m = 0
-    for k in range(max(len(lam), len(mu))):
-        acc_l += lam[k] if k < len(lam) else 0
-        acc_m += mu[k] if k < len(mu) else 0
-        if acc_l < acc_m:
-            return False
-    return True
 
 
 def m3(lam: tuple[int, ...]) -> int:
@@ -158,6 +146,23 @@ def gap_table(n: int) -> list[tuple[tuple[int, ...], Fraction]]:
 # -- brute-force oracles ------------------------------------------------------------
 
 
+def _class_matrix(n: int) -> np.ndarray:
+    """Dense transition matrix of the non-lazy 3-cycle class average on Alt(n)."""
+    cycles = walk_mod.three_cycles(n)
+    m = walk_mod.WalkMeasure(walk_mod.Atom(c, 1.0 / len(cycles)) for c in cycles)
+    return walk_mod.gather_matrix(*walk_mod.transition_tables(m, walk_mod.DenseGroup.alt(n)))
+
+
+def _check_symmetric(M: np.ndarray, what: str) -> None:
+    if not np.allclose(M, M.T):
+        raise InvariantError(f"{what} matrix is not symmetric")
+
+
+def _check_eigenvalue_one(eigs: np.ndarray, what: str) -> None:
+    if abs(eigs[0] - 1.0) > 1e-9:
+        raise InvariantError(f"{what} top eigenvalue is {eigs[0]}, not 1")
+
+
 def cayley_spectrum_bruteforce(n: int) -> np.ndarray:
     """Dense spectrum of the non-lazy 3-cycle class average on Alt(n), n <= 6.
 
@@ -167,12 +172,8 @@ def cayley_spectrum_bruteforce(n: int) -> np.ndarray:
     """
     if not 3 <= n <= 6:
         raise ValueError("brute force supports n in 3..6")
-    group = walk_mod.DenseGroup.alt(n)
-    elements = [group.perm_at(i) for i in range(group.size)]
-    cycles = walk_mod.three_cycles(n)
-    atoms = [(c, 1.0 / len(cycles)) for c in cycles]
-    M = walk_mod.convolution_matrix(atoms, elements)
-    assert np.allclose(M, M.T)
+    M = _class_matrix(n)
+    _check_symmetric(M, "class walk")
     return np.sort(np.linalg.eigvalsh(M))[::-1]
 
 
@@ -221,30 +222,21 @@ def garna_check(n: int, g: Permutation, tol: float = 1e-9) -> GarnaReport:
         raise ValueError("dense check supports n in 3..6")
     if g.degree != n or g.parity() != 1:
         raise ValueError("g must be an odd permutation of degree n")
-    cycles = walk_mod.three_cycles(n)
-
-    alt_group = walk_mod.DenseGroup.alt(n)
-    alt_elements = [alt_group.perm_at(i) for i in range(alt_group.size)]
-    class_atoms = [(c, 1.0 / len(cycles)) for c in cycles]
-    M_alt = walk_mod.convolution_matrix(class_atoms, alt_elements)
+    M_alt = _class_matrix(n)
     eigs_alt = np.sort(np.linalg.eigvalsh(M_alt))[::-1]
-    assert abs(eigs_alt[0] - 1.0) <= 1e-9
+    _check_eigenvalue_one(eigs_alt, "class walk")
     gap_alt = 1.0 - float(eigs_alt[1])
     gap_alt_norm = 1.0 - max(abs(float(eigs_alt[1])), abs(float(eigs_alt[-1])))
 
-    group = walk_mod.DenseGroup.sym(n)
-    elements = [group.perm_at(i) for i in range(group.size)]
-    ginv = g.inverse()
-    masses: dict[Permutation, float] = {}
-    for c in cycles:
-        for base in (g, ginv):
-            p = base * c
-            masses[p] = masses.get(p, 0.0) + 1.0 / (2 * len(cycles))
-    assert all(p.parity() == 1 for p in masses)
-    M = walk_mod.convolution_matrix(list(masses.items()), elements)
-    assert np.allclose(M, M.T)
+    counts = walk_mod.translated_class(g)
+    total = sum(counts.values())  # 2|C|
+    if any(p.parity() != 1 for p in counts):
+        raise InvariantError("translated class charges an even permutation")
+    m = walk_mod.WalkMeasure(walk_mod.Atom(p, k / total) for p, k in counts.items())
+    M = walk_mod.gather_matrix(*walk_mod.transition_tables(m, walk_mod.DenseGroup.sym(n)))
+    _check_symmetric(M, "translated walk")
     eigs = np.sort(np.linalg.eigvalsh(M))[::-1]
-    assert abs(eigs[0] - 1.0) <= 1e-9
+    _check_eigenvalue_one(eigs, "translated walk")
     has_minus_one = bool(abs(eigs[-1] + 1.0) <= 1e-8)
     # drop the single forced +1 and forced -1 before taking the norm gap
     interior = eigs[1:-1] if has_minus_one else eigs[1:]

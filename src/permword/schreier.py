@@ -19,6 +19,7 @@ import numpy as np
 from . import kernels
 from .errors import RetryExhaustedError
 from .perm import Permutation
+from .walk import gather_matrix, lex_codes, lex_lookup
 from .word import GEN_G, GEN_H, Cat, Inv, Word
 
 MAX_VERTICES = 5_000_000
@@ -60,6 +61,7 @@ class TupleGraph:
         self.tuples = np.array(
             list(itertools.permutations(range(n), ell)), dtype=np.int32
         ).reshape(num, ell)
+        self._codes = lex_codes(self.tuples, n)
         nbrs = np.empty((4, num), dtype=np.int32)
         for row, s in enumerate((g, g.inverse(), h, h.inverse())):
             nbrs[row] = self.rank_rows(s.images[self.tuples])
@@ -70,27 +72,13 @@ class TupleGraph:
         return self.tuples.shape[0]
 
     def rank_rows(self, rows: np.ndarray) -> np.ndarray:
-        """Lexicographic rank of 0-based injective tuples, vectorized.
-
-        Digit i is the entry's position among the values unused by entries
-        0..i-1; weights form the falling-factorial mixed radix.
-        """
-        rows = np.asarray(rows)
-        ell = rows.shape[1]
-        rank = np.zeros(rows.shape[0], dtype=np.int64)
-        for i in range(ell):
-            d = rows[:, i] - (rows[:, :i] < rows[:, i : i + 1]).sum(axis=1)
-            rank = rank * (self.n - i) + d
-        return rank.astype(np.int32)
+        """Lexicographic rank of 0-based injective tuples, vectorized;
+        ValueError for a row that is not an injective tuple over 0..n-1."""
+        return lex_lookup(self.tuples, self._codes, rows, self.n)
 
     def rank_of(self, tup: Sequence[int]) -> int:
-        """Index of a 1-based injective tuple."""
-        arr = np.asarray([t - 1 for t in tup], dtype=np.int32)
-        if arr.shape[0] != self.ell:
-            raise ValueError("tuple length mismatch")
-        if len(set(arr.tolist())) != self.ell or arr.min() < 0 or arr.max() >= self.n:
-            raise ValueError("not an injective tuple over 1..n")
-        return int(self.rank_rows(arr[None, :])[0])
+        """Index of a 1-based injective tuple; ValueError for anything else."""
+        return int(self.rank_rows(np.asarray([[t - 1 for t in tup]]))[0])
 
     def tuple_at(self, idx: int) -> tuple[int, ...]:
         return tuple(int(x) + 1 for x in self.tuples[idx])
@@ -101,14 +89,9 @@ class TupleGraph:
 
     def dense_adjacency(self) -> np.ndarray:
         """Explicit matrix, for oracle-sized graphs only."""
-        num = self.num_vertices
-        if num > 20_000:
+        if self.num_vertices > 20_000:
             raise ValueError("dense form too large")
-        A = np.zeros((num, num))
-        rows = np.arange(num)
-        for j in range(4):
-            np.add.at(A, (rows, self.neighbors[j]), 0.25)
-        return A
+        return gather_matrix(self.neighbors, np.full(4, 0.25))
 
 
 @dataclass(frozen=True)

@@ -36,7 +36,6 @@ __all__ = [
     "CycleLabeling",
     "SynthContext",
     "prepare_context",
-    "solve_congruence",
     "build_base_cycle",
     "build_3cycle",
     "build_3cycle_via_phi",
@@ -218,25 +217,6 @@ def prepare_context(
         ctx.parity_witness = WordElement(GEN_H, h)
     _extend_pool(ctx, POOL_INIT)
     return ctx
-
-
-def solve_congruence(
-    gamma: Permutation, a: int, labeling: CycleLabeling
-) -> tuple[int, int] | None:
-    """Smallest (r, s) with gamma mapping the cycle edge (r, r+1) onto two
-    labeled points whose label gap is a - 1, where s is the cycle shift that
-    moves label 1 onto r's image. None when no edge lands suitably.
-
-    With gamma the identity this says labels advance by 1, so a = 2 yields
-    (1, 0) and anything else has no solution.
-    """
-    l = labeling.length
-    for r in range(1, l):
-        u = labeling.label_of(gamma.apply(labeling.point_at(r)))
-        w = labeling.label_of(gamma.apply(labeling.point_at(r + 1)))
-        if u and w and (w - u) % l == (a - 1) % l:
-            return r, (u - 1) % l
-    return None
 
 
 def build_base_cycle(

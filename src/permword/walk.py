@@ -4,7 +4,8 @@ The full symmetric or alternating group on up to 8 points is held as an
 array of image tables in lexicographic order; a row is found by binary
 search on its base-n code. Walk distributions are dense float vectors over
 the group; one convolution step is a weighted gather through precomputed
-translation tables, which is the compiled-kernel hot path.
+translation tables, which is the compiled-kernel hot path. The same tables
+give the dense transition matrices and subgroup closures of the oracles.
 """
 
 from __future__ import annotations
@@ -24,10 +25,24 @@ from .word import GEN_G, GEN_H, Cat, Inv, Word
 MAX_DENSE_DEGREE = 8
 
 
-def _codes(rows: np.ndarray, n: int) -> np.ndarray:
-    """Base-n code of each image row; increasing in lexicographic order."""
-    weights = n ** np.arange(n - 1, -1, -1, dtype=np.int64)
-    return np.asarray(rows, dtype=np.int64) @ weights
+def lex_codes(rows: np.ndarray, n: int) -> np.ndarray:
+    """Base-n code of each row of entries in 0..n-1, any row width;
+    increasing in lexicographic order."""
+    rows = np.asarray(rows, dtype=np.int64)
+    weights = n ** np.arange(rows.shape[1] - 1, -1, -1, dtype=np.int64)
+    return rows @ weights
+
+
+def lex_lookup(table: np.ndarray, codes: np.ndarray, rows: np.ndarray, n: int) -> np.ndarray:
+    """Index of each row in a lexicographically sorted table whose base-n
+    codes are `codes`; ValueError if a row is not in the table."""
+    rows = np.asarray(rows)
+    idx = np.searchsorted(codes, lex_codes(rows, n))
+    # a code past the last one is clamped and then fails the row check
+    idx = np.minimum(idx, table.shape[0] - 1).astype(np.int32)
+    if not np.array_equal(table[idx], rows):
+        raise ValueError("row is not in the table (outside the group or not injective)")
+    return idx
 
 
 def _parity_rows(rows: np.ndarray) -> np.ndarray:
@@ -60,7 +75,7 @@ class DenseGroup:
         else:
             self.perms = all_perms[parities == 0]
             self.parities = np.zeros(self.perms.shape[0], dtype=np.uint8)
-        self._codes = _codes(self.perms, n)
+        self._codes = lex_codes(self.perms, n)
 
     @classmethod
     def sym(cls, n: int) -> "DenseGroup":
@@ -79,13 +94,7 @@ class DenseGroup:
         return 0  # identity is lexicographically first in both cases
 
     def index_rows(self, rows: np.ndarray) -> np.ndarray:
-        rows = np.asarray(rows)
-        idx = np.searchsorted(self._codes, _codes(rows, self.n))
-        # a code past the last one is clamped and then fails the row check
-        idx = np.minimum(idx, self.size - 1).astype(np.int32)
-        if not np.array_equal(self.perms[idx], rows):
-            raise ValueError("image row lies outside the group")
-        return idx
+        return lex_lookup(self.perms, self._codes, rows, self.n)
 
     def index_of(self, p: Permutation) -> int:
         if p.degree != self.n:
@@ -138,10 +147,6 @@ class WalkMeasure:
         return all(
             abs(a.prob - self.prob_of(a.perm.inverse())) <= tol for a in self.atoms
         )
-
-    def min_parity_support(self) -> int:
-        """0 if any even atom is charged, useful for support checks."""
-        return min(a.perm.parity() for a in self.atoms)
 
 
 def lazy_measure(
@@ -324,28 +329,31 @@ def evolution(m: WalkMeasure, group: DenseGroup):
         k += 1
 
 
+def _stopping_time(m: WalkMeasure, group: DenseGroup, passes, cap: int, what: str) -> int:
+    """Least k whose distance to uniform d - 1/|G| passes; MixingCapError past cap."""
+    u = 1.0 / group.size
+    for k, d in evolution(m, group):
+        if passes(d - u):
+            return k
+        if k >= cap:
+            raise MixingCapError(f"no {what} within {cap} steps")
+    raise AssertionError("unreachable")
+
+
 def mixing_time_lp(
     m: WalkMeasure, group: DenseGroup, threshold: float, p: float, cap: int = 100_000
 ) -> int:
     """Least k with normalized l^p distance to uniform <= threshold."""
-    u = 1.0 / group.size
-    for k, d in evolution(m, group):
-        if lp_norm(d - u, p) <= threshold:
-            return k
-        if k >= cap:
-            raise MixingCapError(f"no l^{p} mixing below {threshold} within {cap} steps")
-    raise AssertionError("unreachable")
+    return _stopping_time(
+        m, group, lambda f: lp_norm(f, p) <= threshold, cap, f"l^{p} mixing below {threshold}"
+    )
 
 
 def strong_mixing_time(m: WalkMeasure, group: DenseGroup, cap: int = 100_000) -> int:
     """Least k with |G| * max_x |mu^(k)(x) - 1/|G|| <= 1/2."""
-    u = 1.0 / group.size
-    for k, d in evolution(m, group):
-        if group.size * lp_norm(d - u, math.inf) <= 0.5:
-            return k
-        if k >= cap:
-            raise MixingCapError(f"no strong mixing within {cap} steps")
-    raise AssertionError("unreachable")
+    return _stopping_time(
+        m, group, lambda f: group.size * lp_norm(f, math.inf) <= 0.5, cap, "strong mixing"
+    )
 
 
 def check_argu(m: WalkMeasure, group: DenseGroup, eps: float, cap: int = 100_000) -> bool:
@@ -431,48 +439,46 @@ def sample_walk(
     return result, Cat(tuple(symbols))
 
 
-# -- small enumerated subgroups (shared oracle machinery) --------------------------
+# -- dense matrices and closures from gather tables ----------------------------------
 
 
-def generated_elements(gens: Sequence[Permutation], limit: int = 50_000) -> list[Permutation]:
-    """Breadth-first closure of <gens> under right multiplication."""
-    if not gens:
-        raise ValueError("need at least one generator")
-    n = gens[0].degree
-    steps = list(gens) + [p.inverse() for p in gens]
-    ident = Permutation.identity(n)
-    seen = {ident}
-    frontier = [ident]
-    out = [ident]
-    while frontier:
-        nxt = []
-        for x in frontier:
-            for s in steps:
-                y = x * s
-                if y not in seen:
-                    seen.add(y)
-                    out.append(y)
-                    nxt.append(y)
-                    if len(out) > limit:
-                        raise ValueError(f"group larger than limit {limit}")
-        frontier = nxt
-    return out
-
-
-def convolution_matrix(
-    atoms: Sequence[tuple[Permutation, float]], elements: Sequence[Permutation]
-) -> np.ndarray:
-    """Transition matrix M[x, y] = m(x^-1 y) over an explicit element list.
-
-    Symmetric whenever the measure is; rows sum to the total mass.
-    """
-    index = {p: i for i, p in enumerate(elements)}
-    size = len(elements)
+def gather_matrix(idx: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """Dense matrix of one gather step, M[z, idx[i, z]] += weights[i], so that
+    M @ f = sum_i weights[i] * f[idx[i]]. On transition_tables this is the
+    walk's transition matrix, symmetric whenever the measure is."""
+    count, size = idx.shape
     M = np.zeros((size, size))
-    for s, pr in atoms:
-        for i, x in enumerate(elements):
-            j = index.get(x * s)
-            if j is None:
-                raise ValueError("measure support leaves the element list")
-            M[i, j] += pr
+    rows = np.broadcast_to(np.arange(size), (count, size))
+    np.add.at(M, (rows, idx), np.broadcast_to(np.asarray(weights)[:, None], (count, size)))
     return M
+
+
+def generated_mask(gens: Sequence[Permutation], group: DenseGroup) -> np.ndarray:
+    """Rows of `group` in the subgroup <gens>: the fixpoint of
+    reached |= reached[idx].any(axis=0) from the identity over the gens'
+    transition tables (z is reached once z * s^-1 is). Inverses are not
+    needed, since a finite semigroup of permutations is a group."""
+    distinct = list(dict.fromkeys(gens))
+    m = WalkMeasure(Atom(p, 1.0 / len(distinct)) for p in distinct)
+    idx, _ = transition_tables(m, group)
+    reached = np.zeros(group.size, dtype=bool)
+    reached[group.identity_index] = True
+    while True:
+        grown = reached | reached[idx].any(axis=0)
+        if np.array_equal(grown, reached):
+            return reached
+        reached = grown
+
+
+def translated_class(t: Permutation) -> dict[Permutation, int]:
+    """Multiplicities of the translated 3-cycle classes tC and t^-1 C, keyed
+    in the order t*c, then t^-1*c, over three_cycles. The two translates can
+    overlap, so a key counts 1 or 2; k / (2|C|) is the mass of the reference
+    walk (tC + t^-1 C) / 2."""
+    out: dict[Permutation, int] = {}
+    cls = three_cycles(t.degree)
+    for trans in (t, t.inverse()):
+        for c in cls:
+            y = trans * c
+            out[y] = out.get(y, 0) + 1
+    return out

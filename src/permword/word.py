@@ -203,9 +203,6 @@ class GeneratorCounts:
     def total(self) -> int:
         return self.g + self.h + self.g_inv + self.h_inv
 
-    def of(self, name: str, inverted: bool) -> int:
-        return getattr(self, name + ("_inv" if inverted else ""))
-
 
 def generator_counts(w: Word) -> GeneratorCounts:
     """Occurrences of g, h, g^-1, h^-1 in the expanded word.

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from permword import Permutation, random_uniform
+from permword import DenseGroup, Permutation, random_uniform
+from permword.walk import generated_mask
 
 acceptance_lines = []
 
@@ -24,6 +25,13 @@ def seeded_pair(n: int, seed: int):
     """The pair every seeded CLI run starts from: two uniform draws."""
     rng = np.random.default_rng(seed)
     return random_uniform(n, rng), random_uniform(n, rng), rng
+
+
+def generated_group(g, h):
+    """The dense group a pair should generate (Alt(n) when both are even,
+    else Sym(n)), or None when the reachability mask shows it does not."""
+    group = DenseGroup("alt" if g.is_even() and h.is_even() else "sym", g.degree)
+    return group if generated_mask([g, h], group).all() else None
 
 
 @pytest.fixture

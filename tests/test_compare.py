@@ -3,8 +3,13 @@ and the gap/l2 transfer bounds. The distance oracle for BFS words is a plain
 queue BFS that records distances only."""
 
 import math
+import os
+import subprocess
+import sys
+import textwrap
 from collections import deque
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -23,10 +28,14 @@ from permword import (
     reference_measure,
     three_cycles,
 )
+import permword
+from permword import compare
+from permword.errors import InvariantError
+from permword.word import GeneratorCounts
 from permword.compare import MAX_BFS_DEGREE, MAX_EXACT_DEGREE, dense_walk_gap
-from permword.walk import generated_elements
+from permword.walk import Atom, WalkMeasure, generated_mask
 
-from conftest import perm_from_cycles, seeded_pair
+from conftest import generated_group, perm_from_cycles, seeded_pair
 
 
 def bfs_distances(g, h):
@@ -66,7 +75,7 @@ def even_even_pair(n, start_seed=0):
     while True:
         g, h, rng = seeded_pair(n, seed)
         if g.is_even() and h.is_even():
-            if len(generated_elements([g, h])) == math.factorial(n) // 2:
+            if generated_group(g, h) is not None:
                 return g, h, rng
         seed += 1
 
@@ -76,7 +85,7 @@ def mixed_pair(n, start_seed=0):
     while True:
         g, h, rng = seeded_pair(n, seed)
         if not (g.is_even() and h.is_even()):
-            if len(generated_elements([g, h])) == math.factorial(n):
+            if generated_group(g, h) is not None:
                 return g, h, rng
         seed += 1
 
@@ -111,6 +120,41 @@ def test_compute_A_exact_fraction_and_bounds():
     assert A <= 2 * Fraction(max_len) ** 2
     # the per-generator normalization is exactly 4x the printed one
     assert compute_A(g, h, None, "exact", per_generator=True) == 4 * A
+
+
+def test_A_bound_check_survives_python_O(monkeypatch):
+    # counts with one entry above their total push A past (1/p(S)) max|y|^2
+    g = perm_from_cycles(5, (1, 2))
+    h = perm_from_cycles(5, (1, 2, 3, 4, 5))
+    monkeypatch.setattr(compare, "generator_counts", lambda w: GeneratorCounts(2, -1, 0, 0))
+    with pytest.raises(InvariantError):
+        compute_A(g, h, None, "exact")
+    # python -O strips asserts; the bound check must still run
+    code = textwrap.dedent(
+        """
+        from permword import InvariantError, Permutation, compare
+        from permword.word import GeneratorCounts
+
+        g = Permutation.from_cycles(5, [(1, 2)])
+        h = Permutation.from_cycles(5, [(1, 2, 3, 4, 5)])
+        compare.generator_counts = lambda w: GeneratorCounts(2, -1, 0, 0)
+        try:
+            compare.compute_A(g, h, None, "exact")
+            print(__debug__, "returned")
+        except InvariantError:
+            print(__debug__, "InvariantError")
+        """
+    )
+    root = str(Path(permword.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [root, os.environ.get("PYTHONPATH")]))
+    out = subprocess.run(
+        [sys.executable, "-O", "-c", code],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": path},
+    )
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.split() == ["False", "InvariantError"]
 
 
 def test_compute_A_sampled_is_consistent_with_exact():
@@ -153,23 +197,21 @@ def test_transfer_inequality_per_generator_small_degrees():
     # dense gap of the lazy pair walk vs reference gap divided by A
     for n, seeds in ((5, (0, 1)), (6, (0,))):
         group = DenseGroup.sym(n)
-        elements = [group.perm_at(i) for i in range(group.size)]
         seed = 0
         hits = 0
         while hits < len(seeds):
             g, h, _ = seeded_pair(n, seed)
             seed += 1
-            if len(generated_elements([g, h])) != math.factorial(n):
+            if not generated_mask([g, h], group).all():
                 continue
             hits += 1
             A = compute_A(g, h, None, "exact", per_generator=True)
-            m = lazy_generator_measure(g, h)
-            delta_p = dense_walk_gap([(a.perm, a.prob) for a in m.atoms], elements)
+            delta_p = dense_walk_gap(lazy_generator_measure(g, h), group)
             ref = reference_measure(g, h)
             # the reference comparison is against the lazy version of p'
-            lazy_ref = [(p, float(mass) / 2) for p, mass in ref.items()]
-            lazy_ref.append((Permutation.identity(n), 0.5))
-            delta_ref = dense_walk_gap(lazy_ref, elements)
+            lazy_ref = [Atom(p, float(mass) / 2) for p, mass in ref.items()]
+            lazy_ref.append(Atom(Permutation.identity(n), 0.5))
+            delta_ref = dense_walk_gap(WalkMeasure(lazy_ref), group)
             assert delta_p >= float(Fraction(delta_ref) / A) - 1e-12
 
 

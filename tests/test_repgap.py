@@ -14,6 +14,8 @@ from permword import (
     garna_check,
     spectral_gap_exact,
 )
+from permword import walk
+from permword.errors import InvariantError
 from permword.repgap import (
     conjugate_partition,
     distinct_values,
@@ -169,6 +171,23 @@ def test_garna_norm_comparison_and_conventions():
     r4 = garna_check(4, Permutation.transposition(4, 1, 2))
     assert abs(r4.gap_alt - 1.0) < 1e-9
     assert abs(r4.gap_translated_signed - 0.5) < 1e-9
+
+
+def test_dense_oracles_raise_on_non_symmetric_matrix(monkeypatch):
+    # an upper-triangle defect is invisible to eigvalsh (it reads the lower
+    # triangle), so only the explicit symmetry checks can catch it
+    build = walk.gather_matrix
+
+    def skewed(idx, weights):
+        M = build(idx, weights)
+        M[0, 1] += 0.5
+        return M
+
+    monkeypatch.setattr(walk, "gather_matrix", skewed)
+    with pytest.raises(InvariantError):
+        cayley_spectrum_bruteforce(4)
+    with pytest.raises(InvariantError, match="translated walk"):
+        garna_check(4, Permutation.transposition(4, 1, 2))
 
 
 def test_garna_rejects_bad_inputs():

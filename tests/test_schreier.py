@@ -1,6 +1,8 @@
 """Tuple-action Schreier graphs and the power-iteration gap estimator.
 Oracle: dense eigensolve of the same normalized adjacency."""
 
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -46,6 +48,22 @@ def test_rank_of_rejects_bad_tuples():
         graph.rank_of((0, 2))
     with pytest.raises(ValueError):
         graph.rank_of((1, 2, 3))
+
+
+@pytest.mark.parametrize("ell", [1, 2, 3, 4])
+def test_rank_rows_is_position_in_permutations(ell):
+    graph = TupleGraph(Permutation.identity(6), Permutation.identity(6), ell)
+    oracle = list(itertools.permutations(range(6), ell))
+    rows = np.array(oracle[::-1], dtype=np.int32)
+    want = [oracle.index(tuple(r)) for r in rows.tolist()]
+    assert graph.rank_rows(rows).tolist() == want
+
+
+def test_rank_rows_rejects_non_injective_rows():
+    graph = TupleGraph(Permutation.identity(6), Permutation.identity(6), 3)
+    for bad in ([[0, 1, 1]], [[0, 1, 6]], [[-1, 1, 2]]):
+        with pytest.raises(ValueError):
+            graph.rank_rows(np.array(bad))
 
 
 def test_neighbors_follow_generator_action():

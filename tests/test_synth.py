@@ -10,8 +10,6 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 import permword
 from permword import (
@@ -32,7 +30,6 @@ from permword.synth import (
     _preimage_label_row,
     build_3cycle,
     build_3cycle_via_phi,
-    solve_congruence,
 )
 
 from conftest import seeded_pair
@@ -59,30 +56,6 @@ def test_cycle_labeling_roundtrip_and_shift():
         lab.point_at(6)
     with pytest.raises(ValueError):
         CycleLabeling((1, 2, 2))
-
-
-def test_solve_congruence_identity_cases():
-    lab = CycleLabeling(tuple(range(1, 8)))
-    e = Permutation.identity(7)
-    assert solve_congruence(e, 2, lab) == (1, 0)
-    for a in (3, 4, 7):
-        assert solve_congruence(e, a, lab) is None
-
-
-@settings(max_examples=40)
-@given(st.permutations(list(range(10))), st.integers(2, 7))
-def test_solve_congruence_against_naive_scan(images, a):
-    gamma = Permutation(images)
-    lab = CycleLabeling(tuple(range(1, 8)))  # labels on points 1..7 of 10
-    l = lab.length
-    naive = None
-    for r in range(1, l):
-        u = lab.label_of(gamma.apply(lab.point_at(r)))
-        w = lab.label_of(gamma.apply(lab.point_at(r + 1)))
-        if u and w and (w - u) % l == (a - 1) % l:
-            naive = (r, (u - 1) % l)
-            break
-    assert solve_congruence(gamma, a, lab) == naive
 
 
 def test_prepare_context_invariants(ctx20):

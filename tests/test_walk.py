@@ -29,7 +29,7 @@ from permword import (
 )
 from permword import kernels
 from permword.errors import InvariantError, MixingCapError
-from permword.walk import convolution_matrix, generated_elements
+from permword.walk import gather_matrix, generated_mask, transition_tables
 
 from conftest import perm_from_cycles
 
@@ -231,22 +231,24 @@ def test_sample_walk_word_needs_labeled_atoms():
         sample_walk(m, 20, np.random.default_rng(0), return_word=True)
 
 
-def test_generated_elements_sizes():
+def test_generated_mask_sizes():
     three = perm_from_cycles(5, (1, 2, 3))
-    assert len(generated_elements([three])) == 3
-    full = generated_elements(
-        [perm_from_cycles(5, (1, 2)), perm_from_cycles(5, (1, 2, 3, 4, 5))]
+    assert generated_mask([three], DenseGroup.sym(5)).sum() == 3
+    full = generated_mask(
+        [perm_from_cycles(5, (1, 2)), perm_from_cycles(5, (1, 2, 3, 4, 5))], DenseGroup.sym(5)
     )
-    assert len(full) == 120
-    with pytest.raises(ValueError):
-        generated_elements([perm_from_cycles(5, (1, 2))], limit=1)
+    assert full.sum() == 120
+    alt4 = generated_mask(
+        [perm_from_cycles(4, (1, 2, 3)), perm_from_cycles(4, (2, 3, 4))], DenseGroup.alt(4)
+    )
+    assert alt4.sum() == 12
 
 
-def test_convolution_matrix_symmetric_and_stochastic():
-    elements = generated_elements(
-        [perm_from_cycles(4, (1, 2, 3)), perm_from_cycles(4, (2, 3, 4))]
-    )
+def test_gather_matrix_symmetric_stochastic_one_step():
+    group = DenseGroup.alt(4)
     m = three_cycle_lazy_measure(4)
-    M = convolution_matrix([(a.perm, a.prob) for a in m.atoms], elements)
+    M = gather_matrix(*transition_tables(m, group))
     assert np.allclose(M, M.T)
     assert np.allclose(M.sum(axis=1), 1.0)
+    start = Distribution.point_mass(group).probs
+    assert np.array_equal(M @ start, evolve_exact(m, group, 1).probs)
