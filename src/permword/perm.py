@@ -19,6 +19,8 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
+from .errors import InvariantError
+
 
 class Permutation:
     """Immutable permutation backed by a 0-based numpy image table."""
@@ -331,5 +333,6 @@ def three_cycle_factorization(p: Permutation) -> list[Permutation]:
         t = ident.copy()
         t[u], t[w], t[a] = a, u, w
         out.append(Permutation._raw(t))
-    assert len(out) <= n
+    if len(out) > n:
+        raise InvariantError(f"{len(out)} 3-cycle factors exceed the degree {n}")
     return out

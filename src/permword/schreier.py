@@ -2,13 +2,14 @@
 
 The graph's vertices are the injective ell-tuples over {1..n}; the edge
 multiset at x is {x^g, x^(g^-1), x^h, x^(h^-1)} acting coordinatewise, kept
-as a 4-row neighbor table. Both the power-iteration eigenvalue estimator
-and the constrained walk sampler work off these tables through the kernel
-backend.
+as a 4-row neighbor table that the power-iteration eigenvalue estimator
+works off through the kernel backend. The constrained walk sampler pushes
+the constrained points through the pair's walk.StepTable instead.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -19,27 +20,17 @@ import numpy as np
 from . import kernels
 from .errors import RetryExhaustedError
 from .perm import Permutation
-from .walk import gather_matrix, lex_codes, lex_lookup
-from .word import GEN_G, GEN_H, Cat, Inv, Word
+from .walk import STAY, StepTable, gather_matrix, lex_codes, lex_lookup
+from .word import Word
 
 MAX_VERTICES = 5_000_000
 
-# shared symbol nodes for walk words; index = draw code
-_WALK_SYMBOLS: tuple[Word, ...] = (GEN_G, Inv(GEN_G), GEN_H, Inv(GEN_H))
 
-
-def walk_step_tables(g: Permutation, h: Permutation) -> np.ndarray:
-    """(5, n) image tables: rows g, g^-1, h, h^-1, identity."""
-    n = g.degree
-    return np.stack(
-        [
-            g.images,
-            g.inverse().images,
-            h.images,
-            h.inverse().images,
-            np.arange(n, dtype=np.int32),
-        ]
-    ).astype(np.int32)
+@functools.lru_cache(maxsize=1)
+def _pair_steps(g: Permutation, h: Permutation) -> StepTable:
+    """One step table for the conditioned walks of a pair, so the words of a
+    shrink share their Inv(g), Inv(h) nodes (node_count counts them once)."""
+    return StepTable.of(g, h)
 
 
 class TupleGraph:
@@ -63,8 +54,8 @@ class TupleGraph:
         ).reshape(num, ell)
         self._codes = lex_codes(self.tuples, n)
         nbrs = np.empty((4, num), dtype=np.int32)
-        for row, s in enumerate((g, g.inverse(), h, h.inverse())):
-            nbrs[row] = self.rank_rows(s.images[self.tuples])
+        for row, images in enumerate(StepTable.of(g, h).images[:STAY]):
+            nbrs[row] = self.rank_rows(images[self.tuples])
         self.neighbors = nbrs
 
     @property
@@ -211,28 +202,20 @@ def _conditioned_walk_counted(
         raise ValueError("walk length must be >= 1")
     max_tries = 20 * n * n
     src, tgt = _validate_constraints(n, constraints)
-    tables = walk_step_tables(g, h)
-    # draw codes 0..7; 0..3 pick a generator row, 4..7 all mean "stay"
-    code_to_row = np.array([0, 1, 2, 3, 4, 4, 4, 4], dtype=np.int32)
+    steps = _pair_steps(g, h)
     done = 0
     while done < max_tries:
         batch = min(_BATCH, max_tries - done)
-        codes = rng.integers(0, 8, size=(batch, k), dtype=np.int64)
+        # draw codes 0..7; 0..3 pick a generator row, 4..7 all mean "stay"
+        codes = np.minimum(rng.integers(0, 8, size=(batch, k), dtype=np.int64), STAY)
         if src.size:
-            finals = kernels.track_points(tables, code_to_row[codes], src)
+            finals = kernels.track_points(steps.images, codes, src)
             hits = np.nonzero((finals == tgt).all(axis=1))[0]
         else:
             hits = np.array([0])
         if hits.size:
             row = int(hits[0])
-            accepted = codes[row]
-            pos = kernels.track_points(
-                tables,
-                code_to_row[accepted][None, :],
-                np.arange(n, dtype=np.int32),
-            )
-            sigma = Permutation(pos[0])
-            word = Cat(tuple(_WALK_SYMBOLS[int(c)] for c in accepted if c < 4))
+            sigma, word = steps.materialize(codes[row])
             return sigma, word, done + row + 1
         done += batch
     raise RetryExhaustedError(

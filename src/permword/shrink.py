@@ -20,16 +20,8 @@ import numpy as np
 from .errors import BudgetExceededError, InvariantError, RetryExhaustedError
 from .perm import Permutation
 from .schreier import _conditioned_walk_counted
-from .word import (
-    GEN_G,
-    GEN_H,
-    Cat,
-    Inv,
-    Pow,
-    Word,
-    WordElement,
-    expanded_length,
-)
+from .walk import StepTable
+from .word import GEN_G, GEN_H, Cat, Pow, Word, WordElement, expanded_length
 
 # Absolute constants of the construction, fixed so a seed reproduces a run.
 WALK_CONSTANT = 40.0  # lazy-walk length ceil(WALK_CONSTANT * ln n)
@@ -150,17 +142,10 @@ def find_long_cycle_element(
     # short words first (cheap, keeps the eventual power word small),
     # then length-2n words, long enough to decorrelate the cycle type
     # from the generators' own.
-    perms = [g, g.inverse(), h, h.inverse()]
-    symbols = (GEN_G, Inv(GEN_G), GEN_H, Inv(GEN_H))
+    steps = StepTable.of(g, h)
 
     def scan_with_prefix(wlen: int) -> LongCycleElement | None:
-        codes = rng.integers(0, 4, size=wlen)
-        wperm = Permutation.identity(n)
-        parts: list[Word] = []
-        for c in codes:
-            wperm = wperm * perms[c]
-            parts.append(symbols[c])
-        wword = Cat(tuple(parts))
+        wperm, wword = steps.materialize(rng.integers(0, 4, size=wlen))
         hp = h
         for j in range(1, jmax + 1):
             perm = wperm * hp

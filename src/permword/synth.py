@@ -19,7 +19,7 @@ from .errors import InvariantError, RetryExhaustedError, SideConditionError
 from .perm import Permutation, three_cycle_factorization
 from .shrink import LongCycleElement, shrink_support, walk_length
 from .schreier import conditioned_walk
-from .walk import WalkMeasure, lazy_generator_measure, sample_walk
+from .walk import StepTable, lazy_step_codes, sample_walk
 from .word import (
     GEN_G,
     GEN_H,
@@ -99,14 +99,18 @@ class SynthContext:
     kappa: WordElement
     rng: np.random.Generator
     walk_k: int  # walk length, also the walk count each relocation may draw
-    measure: WalkMeasure
+    steps: StepTable
     kappa_labels: tuple[int, int, int] = (0, 0, 0)
     base: WordElement | None = None
     x: int = 0
     phi: WordElement | None = None
     parity_witness: WordElement | None = None
-    pool_gammas: list[WordElement] = field(default_factory=list)
+    # gamma pool, one row per walk: step codes, images, preimage label row;
+    # pool_used holds the walks atoms have used, made once so they share words
+    pool_gammas: np.ndarray | None = None
+    pool_images: np.ndarray | None = None
     pool_rows: np.ndarray | None = None
+    pool_used: dict[int, WordElement] = field(default_factory=dict)
 
     @property
     def degree(self) -> int:
@@ -122,7 +126,7 @@ class SynthContext:
 
 
 def _draw_walk(ctx: SynthContext, rng: np.random.Generator | None = None) -> WordElement:
-    perm, word = sample_walk(ctx.measure, ctx.walk_k, rng or ctx.rng, return_word=True)
+    perm, word = sample_walk(ctx.steps, ctx.walk_k, rng or ctx.rng)
     return WordElement(word, perm)
 
 
@@ -139,15 +143,29 @@ def _v_power(ctx: SynthContext, s: int) -> WordElement:
     return WordElement(power(ctx.v.word, sp), ctx.v.perm ** sp)
 
 
+def _cycle_points(c: Permutation) -> tuple[int, int, int]:
+    """A 3-cycle as (q, q^c, q^(c^2)) from its smallest point q."""
+    q = min(c.support())
+    return q, c.apply(q), c.apply(c.apply(q))
+
+
+def _cycle_labels(lab: CycleLabeling, c: Permutation) -> tuple[int, int, int]:
+    return tuple(lab.label_of(p) for p in _cycle_points(c))
+
+
 def _kappa_labels(kp: Permutation, lab: CycleLabeling) -> tuple[int, int, int]:
-    supp = kp.support()
-    if len(supp) != 3 or any(lab.label_of(p) == 0 for p in supp):
+    """kappa's labels in cycle order, smallest first."""
+    c = list(_cycle_labels(lab, kp)) if kp.support_size() == 3 else [0]
+    if 0 in c:
         raise ValueError("kappa must be a 3-cycle supported inside the cycle")
-    c1 = min(lab.label_of(p) for p in supp)
-    p1 = lab.point_at(c1)
-    c2 = lab.label_of(kp.apply(p1))
-    c3 = lab.label_of(kp.apply(kp.apply(p1)))
-    return c1, c2, c3
+    i = c.index(min(c))
+    return tuple(c[i:] + c[:i])
+
+
+def _require_3cycle(perm: Permutation, points: tuple[int, int, int], what: str) -> None:
+    """InvariantError unless perm is exactly the 3-cycle (a b c) on `points`."""
+    if perm != Permutation.from_cycles(perm.degree, [points]):
+        raise InvariantError(f"{what} is not the 3-cycle {points}")
 
 
 def _upgrade_transposition(
@@ -160,22 +178,20 @@ def _upgrade_transposition(
     c = int(others[int(rng.integers(len(others)))])
     sigma, sw = conditioned_walk(g, h, k, [(a, b), (b, c)], rng)
     out = t * t.conjugated_by(WordElement(sw, sigma))
-    assert out.perm == Permutation.from_cycles(n, [(a, c, b)])
+    _require_3cycle(out.perm, (a, c, b), "upgraded transposition")
     return out
 
 
-def _relocate_kappa(ctx: SynthContext) -> None:
+def _relocating_walk(ctx: SynthContext, perm: Permutation, failure: str):
+    """(rho, perm^rho) for the first of up to walk_k lazy walks rho that moves
+    perm's support into the cycle; RetryExhaustedError(failure) if none does."""
     inside = ctx.cycle_set
-    if set(ctx.kappa.perm.support()) <= inside:
-        return
-    start = ctx.kappa
     for _ in range(ctx.walk_k):
         rho = _draw_walk(ctx)
-        cand = start.conjugated_by(rho)
-        if set(cand.perm.support()) <= inside:
-            ctx.kappa = cand
-            return
-    raise RetryExhaustedError("could not conjugate the 3-cycle into the long cycle")
+        moved = perm.conjugate(rho.perm)
+        if set(moved.support()) <= inside:
+            return rho, moved
+    raise RetryExhaustedError(failure)
 
 
 def prepare_context(
@@ -206,9 +222,11 @@ def prepare_context(
         kappa=kappa,
         rng=rng,
         walk_k=k,
-        measure=lazy_generator_measure(g, h),
+        steps=StepTable.of(g, h),
     )
-    _relocate_kappa(ctx)
+    if not set(kappa.perm.support()) <= ctx.cycle_set:
+        failure = "could not conjugate the 3-cycle into the long cycle"
+        ctx.kappa = kappa.conjugated_by(_relocating_walk(ctx, kappa.perm, failure)[0])
     build_base_cycle(ctx, rng)
     _attach_phi(ctx)
     if not g.is_even():
@@ -263,17 +281,15 @@ def build_base_cycle(
             atom = atom.conjugated_by(gamma)
         ctx.labeling = lab.rotated(r)
         x = (w_label - r) % l + 1
-        expected = Permutation.from_cycles(
-            ctx.degree,
-            [(ctx.labeling.point_at(1), ctx.labeling.point_at(2), ctx.labeling.point_at(x))],
-        )
-        assert atom.perm == expected
-        assert x >= 3
+        if x < 3:
+            raise InvariantError(f"base cycle label x = {x} is below 3")
+        pts = (ctx.labeling.point_at(1), ctx.labeling.point_at(2), ctx.labeling.point_at(x))
+        _require_3cycle(atom.perm, pts, "base cycle")
         ctx.base = atom
         ctx.x = x
         ctx.kappa_labels = _kappa_labels(ctx.kappa.perm, ctx.labeling)
-        ctx.pool_gammas.clear()
-        ctx.pool_rows = None
+        ctx.pool_gammas = ctx.pool_images = ctx.pool_rows = None
+        ctx.pool_used.clear()
         ctx.phi = None
         return atom.word, x
     raise RetryExhaustedError("no conjugate of kappa meets the cycle adjacently")
@@ -281,21 +297,16 @@ def build_base_cycle(
 
 def _attach_phi(ctx: SynthContext) -> None:
     """phi = v * B^-1 fixes label 1 and splits the rest into the two orbits
-    (2 .. x-1) and (x .. l); asserted point by point."""
+    (2 .. x-1) and (x .. l); checked point by point."""
     base = ctx.base
     phi = WordElement(
         concat(ctx.v.word, Inv(base.word)), ctx.v.perm * base.perm.inverse()
     )
     lab, l, x = ctx.labeling, ctx.labeling.length, ctx.x
-    assert phi.perm.apply(lab.point_at(1)) == lab.point_at(1)
-    for i in range(2, l + 1):
-        if i == x - 1:
-            j = 2
-        elif i == l:
-            j = x
-        else:
-            j = i + 1
-        assert phi.perm.apply(lab.point_at(i)) == lab.point_at(j)
+    # label i goes to want[i - 1]: 1 -> 1, 2 -> 3 -> .. -> x-1 -> 2, x -> .. -> l -> x
+    want = [1, *range(3, x), 2, *range(x + 1, l + 1), x]
+    if [lab.label_of(phi.perm.apply(p)) for p in lab.points] != want:
+        raise InvariantError("phi does not fix label 1 and rotate (2 .. x-1) and (x .. l)")
     ctx.phi = phi
 
 
@@ -306,19 +317,32 @@ def _attach_phi(ctx: SynthContext) -> None:
 # constrains which points may serve as the third.
 
 
-def _preimage_label_row(ctx: SynthContext, gamma: WordElement) -> np.ndarray:
-    """row[j - 1] = label of point_at(j)^(gamma^-1), 0 when off the cycle."""
+def _preimage_label_rows(ctx: SynthContext, images: np.ndarray) -> np.ndarray:
+    """rows[b, j - 1] = label of point_at(j)^(gamma_b^-1) for the walks gamma_b
+    whose 0-based images are images[b]; 0 when off the cycle."""
     points = np.array(ctx.labeling.points) - 1
     labels = np.zeros(ctx.degree, dtype=np.int64)
     labels[points] = np.arange(1, points.shape[0] + 1)
-    return labels[gamma.perm.inverse().images[points]]
+    return labels[np.argsort(images, axis=1)[:, points]]  # argsort inverts each row
 
 
 def _extend_pool(ctx: SynthContext, count: int) -> None:
-    new = [_draw_walk(ctx) for _ in range(count)]
-    rows = np.stack([_preimage_label_row(ctx, gm) for gm in new])
-    ctx.pool_gammas.extend(new)
-    ctx.pool_rows = rows if ctx.pool_rows is None else np.vstack([ctx.pool_rows, rows])
+    """Append `count` gamma walks, drawn as code arrays of at most POOL_INIT
+    rows, each tracked by one kernel call."""
+    parts = [] if ctx.pool_gammas is None else [(ctx.pool_gammas, ctx.pool_images, ctx.pool_rows)]
+    for start in range(0, count, POOL_INIT):
+        codes = lazy_step_codes(ctx.walk_k, ctx.rng, min(POOL_INIT, count - start))
+        images = ctx.steps.track(codes)
+        parts.append((codes, images, _preimage_label_rows(ctx, images)))
+    ctx.pool_gammas, ctx.pool_images, ctx.pool_rows = (np.concatenate(a) for a in zip(*parts))
+
+
+def _pool_gamma(ctx: SynthContext, i: int) -> WordElement:
+    """Pool walk i as a word-paired element, made on first use."""
+    if i not in ctx.pool_used:
+        perm = Permutation._raw(ctx.pool_images[i].copy())
+        ctx.pool_used[i] = WordElement(ctx.steps.word(ctx.pool_gammas[i]), perm)
+    return ctx.pool_used[i]
 
 
 def _conjugated_atom(
@@ -335,10 +359,7 @@ def _conjugated_atom(
     if not gamma.perm.is_identity():
         out = out.conjugated_by(gamma)
     lab = ctx.labeling
-    expected = Permutation.from_cycles(
-        ctx.degree, [(lab.point_at(alpha), lab.point_at(beta), third)]
-    )
-    assert out.perm == expected
+    _require_3cycle(out.perm, (lab.point_at(alpha), lab.point_at(beta), third), "pool atom")
     return out
 
 
@@ -367,11 +388,10 @@ def _pool_edge_atom(
         hits.sort()
         for idx, ca, cc in hits:
             s = (int(ra[idx]) - ca) % l
-            gamma = ctx.pool_gammas[idx]
-            third = gamma.perm.apply(lab.point_at(lab.shift(cc, s)))
+            third = int(ctx.pool_images[idx, lab.point_at(lab.shift(cc, s)) - 1]) + 1
             if third in forbidden:
                 continue
-            return _conjugated_atom(ctx, gamma, s, alpha, beta, third), third
+            return _conjugated_atom(ctx, _pool_gamma(ctx, idx), s, alpha, beta, third), third
         if len(ctx.pool_gammas) >= POOL_CAP:
             return None
         _extend_pool(ctx, len(ctx.pool_gammas))
@@ -421,10 +441,7 @@ def _phi_edge_atom(
             atom = atom.inverse()
         if rot:
             atom = atom.conjugated_by(_v_power(ctx, rot))
-        expected = Permutation.from_cycles(
-            ctx.degree, [(lab.point_at(alpha), lab.point_at(beta), third)]
-        )
-        assert atom.perm == expected
+        _require_3cycle(atom.perm, (lab.point_at(alpha), lab.point_at(beta), third), "phi atom")
         return atom, third
     raise SideConditionError(
         f"every admissible third point for edge {alpha}->{beta} is forbidden"
@@ -446,7 +463,7 @@ def _commutator_3cycle(ctx: SynthContext, r: int, s: int, t: int, atom_fn):
         return None
     p1, _ = got
     out = p1.inverse() * p2.inverse() * p1 * p2
-    assert out.perm == Permutation.from_cycles(ctx.degree, [(pr, ps, pt)])
+    _require_3cycle(out.perm, (pr, ps, pt), "commutator")
     return out
 
 
@@ -470,27 +487,15 @@ def build_3cycle_via_phi(ctx: SynthContext, r: int, s: int, t: int) -> WordEleme
 # -- full synthesis -----------------------------------------------------------------
 
 
-def _factor_labels(lab: CycleLabeling, c: Permutation) -> tuple[int, int, int]:
-    q = min(c.support())
-    return (
-        lab.label_of(q),
-        lab.label_of(c.apply(q)),
-        lab.label_of(c.apply(c.apply(q))),
-    )
-
-
 def _factor_word(ctx: SynthContext, factor: Permutation) -> Word:
-    inside = ctx.cycle_set
-    if set(factor.support()) <= inside:
-        return build_3cycle(ctx, *_factor_labels(ctx.labeling, factor)).word
-    for _ in range(ctx.walk_k):
-        rho = _draw_walk(ctx)
-        moved = factor.conjugate(rho.perm)
-        if set(moved.support()) <= inside:
-            inner = build_3cycle(ctx, *_factor_labels(ctx.labeling, moved))
-            assert rho.perm * inner.perm * rho.perm.inverse() == factor
-            return concat(rho.word, inner.word, Inv(rho.word))
-    raise RetryExhaustedError("could not conjugate a 3-cycle factor into the cycle")
+    if set(factor.support()) <= ctx.cycle_set:
+        return build_3cycle(ctx, *_cycle_labels(ctx.labeling, factor)).word
+    failure = "could not conjugate a 3-cycle factor into the cycle"
+    rho, moved = _relocating_walk(ctx, factor, failure)
+    inner = build_3cycle(ctx, *_cycle_labels(ctx.labeling, moved))
+    moved_back = rho.perm * inner.perm * rho.perm.inverse()
+    _require_3cycle(moved_back, _cycle_points(factor), "relocated factor")
+    return concat(rho.word, inner.word, Inv(rho.word))
 
 
 def synthesize(ctx: SynthContext, target: Permutation) -> Word:

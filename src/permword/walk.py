@@ -6,6 +6,10 @@ search on its base-n code. Walk distributions are dense float vectors over
 the group; one convolution step is a weighted gather through precomputed
 translation tables, which is the compiled-kernel hot path. The same tables
 give the dense transition matrices and subgroup closures of the oracles.
+
+Walks on a generator pair at any degree are rows of step codes pushed
+through one (5, n) step table; synthesis, the shrink's conditioned walks
+and the long-cycle fallback all draw their words this way.
 """
 
 from __future__ import annotations
@@ -149,9 +153,7 @@ class WalkMeasure:
         )
 
 
-def lazy_measure(
-    support: Sequence[Permutation], symbols: Sequence[Word | None] | None = None
-) -> WalkMeasure:
+def lazy_measure(support: Sequence[Permutation]) -> WalkMeasure:
     """Lazy walk measure: mass 1/2 on the identity, 1/(2|S|) on each s in S.
 
     S must exclude the identity, contain no duplicates, and be closed under
@@ -160,10 +162,6 @@ def lazy_measure(
     support = list(support)
     if not support:
         raise ValueError("empty support")
-    if symbols is None:
-        symbols = [None] * len(support)
-    if len(symbols) != len(support):
-        raise ValueError("one symbol per support element required")
     seen = set(support)
     if len(seen) != len(support):
         raise ValueError("duplicate support elements")
@@ -174,34 +172,24 @@ def lazy_measure(
     n = support[0].degree
     each = 1.0 / (2 * len(support))
     atoms = [Atom(Permutation.identity(n), 0.5, None)]
-    atoms.extend(Atom(s, each, w) for s, w in zip(support, symbols))
+    atoms.extend(Atom(s, each) for s in support)
     return WalkMeasure(atoms)
 
 
 def lazy_generator_measure(g: Permutation, h: Permutation) -> WalkMeasure:
     """Lazy walk on the multiset {g, g^-1, h, h^-1}, each with mass 1/8.
 
-    Coinciding elements merge their mass, keeping the first symbol in the
-    order g, g^-1, h, h^-1, so sampled walks always have valid words.
+    Coinciding elements merge their mass under the symbol StepTable gives
+    them, the first in the order g, g^-1, h, h^-1.
     """
-    if g.degree != h.degree:
-        raise ValueError("degree mismatch")
-    n = g.degree
-    candidates = [
-        (g, GEN_G),
-        (g.inverse(), Inv(GEN_G)),
-        (h, GEN_H),
-        (h.inverse(), Inv(GEN_H)),
-    ]
+    steps = StepTable.of(g, h)
     merged: dict[Permutation, tuple[float, Word]] = {}
-    for p, w in candidates:
+    for img, w in zip(steps.images[:STAY], steps.symbols):
+        p = Permutation(img)
         if p.is_identity():
             raise ValueError("generators must not be the identity")
-        if p in merged:
-            merged[p] = (merged[p][0] + 0.125, merged[p][1])
-        else:
-            merged[p] = (0.125, w)
-    atoms = [Atom(Permutation.identity(n), 0.5, None)]
+        merged[p] = (merged.get(p, (0.0, w))[0] + 0.125, w)
+    atoms = [Atom(Permutation.identity(g.degree), 0.5, None)]
     atoms.extend(Atom(p, pr, w) for p, (pr, w) in merged.items())
     return WalkMeasure(atoms)
 
@@ -413,30 +401,63 @@ def check_beeth(n: int, g: Permutation, k: int) -> bool:
             return bool(lhs <= rhs + 1e-12)
 
 
-def sample_walk(
-    m: WalkMeasure, k: int, rng: np.random.Generator, return_word: bool = False
-):
-    """Draw one k-step walk product. With return_word=True also return the
-    word of non-identity draws (requires every charged non-identity atom to
-    carry a symbol, as lazy_generator_measure provides).
+# -- lazy walks on a generator pair ---------------------------------------------------
 
-    All k steps are drawn, so the generator stream does not depend on the
-    measure's laziness; only the draws of non-identity atoms are tracked.
-    """
-    n = m.degree
-    probs = np.array([a.prob for a in m.atoms])
-    draws = rng.choice(len(m.atoms), size=k, p=probs)
-    moves = np.array([not a.perm.is_identity() for a in m.atoms])
-    steps = draws[moves[draws]]
-    tables = np.stack([a.perm.images for a in m.atoms]).astype(np.int32)
-    pos = kernels.track_points(tables, steps[None, :], np.arange(n, dtype=np.int32))
-    result = Permutation(pos[0])
-    if not return_word:
-        return result
-    symbols = [m.atoms[i].symbol for i in steps.tolist()]
-    if any(s is None for s in symbols):
-        raise ValueError("measure has unlabeled non-identity atoms")
-    return result, Cat(tuple(symbols))
+STAY = 4  # step code of the lazy "stay" step; codes 0..3 are g, g^-1, h, h^-1
+
+# cumulated masses 1/2 (stay) and 1/8 (g, g^-1, h, h^-1), and each interval's code
+_LAZY_CDF = np.cumsum([0.5, 0.125, 0.125, 0.125, 0.125])
+_DRAW_CODE = np.array([STAY, 0, 1, 2, 3], dtype=np.int8)
+
+
+@dataclass(frozen=True, eq=False)
+class StepTable:
+    """The steps of a lazy walk on the pair (g, h): `images` holds the (5, n)
+    0-based image rows of g, g^-1, h, h^-1 and stay, `symbols[c]` the word
+    symbol of moving code c. Coinciding steps carry the first symbol in the
+    order g, g^-1, h, h^-1. Each table makes its own Inv(g) and Inv(h)
+    nodes, which every walk materialized through it shares."""
+
+    images: np.ndarray
+    symbols: tuple[Word, ...]
+
+    @classmethod
+    def of(cls, g: Permutation, h: Permutation) -> "StepTable":
+        if g.degree != h.degree:
+            raise ValueError("generator degree mismatch")
+        images = np.stack(
+            [g.images, g.inverse().images, h.images, h.inverse().images, np.arange(g.degree)]
+        ).astype(np.int32)
+        images.setflags(write=False)  # one table serves every walk of a pair
+        names = (GEN_G, Inv(GEN_G), GEN_H, Inv(GEN_H))
+        same = (images[:STAY, None] == images[None, :STAY]).all(axis=2)  # row c == row j
+        return cls(images, tuple(names[int(np.argmax(row))] for row in same))
+
+    def track(self, codes: np.ndarray) -> np.ndarray:
+        """(B, n) images of the walks in a (B, k) code array, first step first."""
+        points = np.arange(self.images.shape[1], dtype=np.int32)
+        return kernels.track_points(self.images, codes, points)
+
+    def word(self, codes: np.ndarray) -> Cat:
+        """Cat of the symbols of the moving steps in one row of codes."""
+        return Cat(tuple(self.symbols[c] for c in codes.tolist() if c != STAY))
+
+    def materialize(self, codes: np.ndarray) -> tuple[Permutation, Cat]:
+        """One row of codes as (product, word), tracking the moving steps only."""
+        moves = codes[codes != STAY]
+        return Permutation(self.track(moves[None, :])[0]), self.word(moves)
+
+
+def lazy_step_codes(k: int, rng: np.random.Generator, count: int) -> np.ndarray:
+    """(count, k) step codes of lazy k-step walks: stay with mass 1/2, each of
+    g, g^-1, h, h^-1 with 1/8. One uniform per step, drawn row by row, so
+    the array takes from rng exactly what `count` single walks take."""
+    return _DRAW_CODE[_LAZY_CDF.searchsorted(rng.random((count, k)), side="right")]
+
+
+def sample_walk(steps: StepTable, k: int, rng: np.random.Generator) -> tuple[Permutation, Cat]:
+    """Draw one lazy k-step walk on the pair of `steps`: (product, word)."""
+    return steps.materialize(lazy_step_codes(k, rng, 1)[0])
 
 
 # -- dense matrices and closures from gather tables ----------------------------------

@@ -1,6 +1,7 @@
 """CLI contract: envelope schema, payload determinism, exit codes, sweep CSV."""
 
 import csv
+import hashlib
 import io
 import json
 
@@ -89,6 +90,33 @@ def test_payloads_are_deterministic(capsys):
     _, rec2 = run_record(capsys, argv)
     assert rec1["payload"] == rec2["payload"]
     assert rec1["payload"]["success"] is True
+
+
+# sha1 of json.dumps(payload, sort_keys=True) for seeded runs. A change that
+# alters the RNG stream or the words on purpose updates these and says so.
+PINNED_PAYLOADS = {
+    "synth": (
+        ["synth", "--n", "14", "--seed", "3", "--emit-word"],
+        "1d0e06ac672b2a426731ea012838dd3df22a524c",
+    ),
+    "shrink": (
+        ["shrink", "--n", "100", "--seed", "7"],
+        "6821aa2068d1a947a9cb972e802f02cf88066919",
+    ),
+    "compare": (
+        ["compare", "--n", "12", "--seed", "1", "--mode", "sample:16"],
+        "028987b447d51d0a0a70a7d6e9709a4916317020",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", list(PINNED_PAYLOADS))
+def test_seeded_payloads_match_pinned_digests(capsys, name):
+    argv, digest = PINNED_PAYLOADS[name]
+    code, rec = run_record(capsys, argv)
+    assert code == 0
+    text = json.dumps(rec["payload"], sort_keys=True)
+    assert hashlib.sha1(text.encode()).hexdigest() == digest
 
 
 def test_json_flag_writes_file(tmp_path, capsys):

@@ -27,7 +27,7 @@ from permword import (
 from permword import shrink
 from permword.shrink import commutator_step
 
-from conftest import seeded_pair
+from conftest import perm_from_cycles, seeded_pair
 
 
 def test_long_cycle_element_properties():
@@ -39,6 +39,21 @@ def test_long_cycle_element_properties():
         assert evaluate(lc.word, g, h) == lc.perm
         assert not (lc.perm ** lc.length).is_identity()
         assert lc.cycle in lc.perm.cycles()
+
+
+def test_long_cycle_fallback_builds_from_a_prefix_word():
+    # h = (1 2) has order 2, so the scan sees only h, h^2 = e, g*h and
+    # g*h^2 = g, and none of them qualifies: only a random prefix helps
+    n = 11
+    g = perm_from_cycles(n, tuple(range(1, n + 1)))
+    h = perm_from_cycles(n, (1, 2))
+    for seed in range(3):
+        lc = find_long_cycle_element(g, h, np.random.default_rng(seed))
+        assert isinstance(lc.word, Cat) and isinstance(lc.word.children[0], Cat)
+        assert evaluate(lc.word, g, h) == lc.perm
+        assert lc.length == len(lc.cycle) and 4 * lc.length >= 3 * n
+        assert lc.cycle in lc.perm.cycles()
+        assert not (lc.perm ** lc.length).is_identity()
 
 
 def test_infeasible_degrees_raise_up_front():

@@ -27,7 +27,7 @@ from permword import (
 from permword import synth
 from permword.synth import (
     CycleLabeling,
-    _preimage_label_row,
+    _preimage_label_rows,
     build_3cycle,
     build_3cycle_via_phi,
 )
@@ -173,11 +173,14 @@ def test_synthesize_off_cycle_support_via_relocation(ctx20):
 
 def test_preimage_label_row_matches_pointwise_labels(ctx20):
     lab = ctx20.labeling
-    for gamma in ctx20.pool_gammas:
-        inv = gamma.perm.inverse()
+    rows = _preimage_label_rows(ctx20, ctx20.pool_images)
+    assert rows.dtype == np.int64
+    assert np.array_equal(rows, ctx20.pool_rows)
+    for codes, images, row in zip(ctx20.pool_gammas, ctx20.pool_images, rows):
+        perm, _ = ctx20.steps.materialize(codes)
+        assert perm == Permutation(images)
+        inv = perm.inverse()
         want = [lab.label_of(inv.apply(p)) for p in lab.points]
-        row = _preimage_label_row(ctx20, gamma)
-        assert row.dtype == np.int64
         assert row.tolist() == want
 
 
@@ -187,10 +190,24 @@ def test_synthesize_raises_invariant_error_on_wrong_word(ctx20, monkeypatch):
         synthesize(ctx20, Permutation.from_cycles(20, [(1, 2, 3)]))
 
 
+def _run_python_O(code: str) -> list[str]:
+    """stdout words of `code` run in a python -O child (asserts stripped),
+    with the permword copy this process imported first."""
+    root = str(Path(permword.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [root, os.environ.get("PYTHONPATH")]))
+    out = subprocess.run(
+        [sys.executable, "-O", "-c", textwrap.dedent(code)],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": path},
+    )
+    assert out.returncode == 0, out.stderr
+    return out.stdout.split()
+
+
 def test_synthesize_check_survives_python_O():
     # python -O strips asserts; the final check must still run
-    code = textwrap.dedent(
-        """
+    code = """
         import numpy as np
         from permword import InvariantError, Permutation, prepare_context, random_uniform, synth
         from permword.word import Cat
@@ -205,15 +222,34 @@ def test_synthesize_check_survives_python_O():
         except InvariantError:
             print(__debug__, "InvariantError")
         """
-    )
-    # same environment, with the permword copy this process imported first
-    root = str(Path(permword.__file__).resolve().parents[1])
-    path = os.pathsep.join(filter(None, [root, os.environ.get("PYTHONPATH")]))
-    out = subprocess.run(
-        [sys.executable, "-O", "-c", code],
-        capture_output=True,
-        text=True,
-        env={**os.environ, "PYTHONPATH": path},
-    )
-    assert out.returncode == 0, out.stderr
-    assert out.stdout.split() == ["False", "InvariantError"]
+    assert _run_python_O(code) == ["False", "InvariantError"]
+
+
+def test_build_3cycle_raises_on_corrupt_kappa_labels():
+    # kappa's labels moved one step along the cycle: every pool atom then
+    # lands one label off the edge it was built for
+    g, h, rng = seeded_pair(20, 0)
+    ctx = prepare_context(g, h, rng)
+    ctx.kappa_labels = tuple(ctx.labeling.shift(c, 1) for c in ctx.kappa_labels)
+    with pytest.raises(InvariantError, match="is not the 3-cycle"):
+        build_3cycle(ctx, 1, 2, 3)
+
+
+def test_build_3cycle_check_survives_python_O():
+    # the same corruption; python -O strips asserts, the atom checks must stay
+    code = """
+        import numpy as np
+        from permword import InvariantError, prepare_context, random_uniform
+        from permword.synth import build_3cycle
+
+        rng = np.random.default_rng(0)
+        g, h = random_uniform(20, rng), random_uniform(20, rng)
+        ctx = prepare_context(g, h, rng)
+        ctx.kappa_labels = tuple(ctx.labeling.shift(c, 1) for c in ctx.kappa_labels)
+        try:
+            build_3cycle(ctx, 1, 2, 3)
+            print(__debug__, "returned")
+        except InvariantError:
+            print(__debug__, "InvariantError")
+        """
+    assert _run_python_O(code) == ["False", "InvariantError"]

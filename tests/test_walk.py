@@ -1,6 +1,8 @@
-"""Walk measures and dense evolution. The independent oracle here is a
-dict-based convolution over explicitly enumerated group elements, checked
-against the vectorized evolution for several step counts."""
+"""Walk measures, dense evolution and the pair's walk sampler. The
+independent oracles here are a dict-based convolution over explicitly
+enumerated group elements, checked against the vectorized evolution for
+several step counts, and an rng.choice draw over lazy_generator_measure
+tracked step by step, checked against sample_walk."""
 
 import math
 
@@ -12,6 +14,7 @@ from permword import (
     DenseGroup,
     Distribution,
     Permutation,
+    StepTable,
     check_argu,
     check_beeth,
     distance_to_uniform,
@@ -29,7 +32,7 @@ from permword import (
 )
 from permword import kernels
 from permword.errors import InvariantError, MixingCapError
-from permword.walk import gather_matrix, generated_mask, transition_tables
+from permword.walk import STAY, gather_matrix, generated_mask, lazy_step_codes, transition_tables
 
 from conftest import perm_from_cycles
 
@@ -176,17 +179,19 @@ def test_beeth_profile_start():
 
 def test_sample_walk_word_matches_product(rng):
     g, h = random_uniform(8, rng), random_uniform(8, rng)
-    m = lazy_generator_measure(g, h)
+    steps = StepTable.of(g, h)
     from permword import evaluate
 
     for _ in range(10):
-        p, w = sample_walk(m, 30, rng, return_word=True)
+        p, w = sample_walk(steps, 30, rng)
         assert evaluate(w, g, h) == p
 
 
 def test_sample_walk_zero_steps(rng):
-    m = three_cycle_lazy_measure(5)
-    assert sample_walk(m, 0, rng).is_identity()
+    steps = StepTable.of(random_uniform(5, rng), random_uniform(5, rng))
+    p, w = sample_walk(steps, 0, rng)
+    assert p.is_identity()
+    assert serialize(w) == "(cat)"
 
 
 def tracked_walk(m, k, rng):
@@ -209,26 +214,51 @@ def test_sample_walk_matches_full_tracking(k):
     n = 12
     pair = random_uniform(n, np.random.default_rng(8)), random_uniform(n, np.random.default_rng(9))
     involution = perm_from_cycles(n, (1, 2), (3, 4)), perm_from_cycles(n, tuple(range(1, n + 1)))
-    labeled = [lazy_generator_measure(*pair), lazy_generator_measure(*involution)]
-    assert len(labeled[1].atoms) == 4  # g == g^-1 merged into one atom
+    assert len(lazy_generator_measure(*involution).atoms) == 4  # g == g^-1 merged into one atom
     for seed in range(4):
-        for m in labeled:
+        for g, h in (pair, involution):
+            m, steps = lazy_generator_measure(g, h), StepTable.of(g, h)
             rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
-            p, w = sample_walk(m, k, rng, return_word=True)
+            p, w = sample_walk(steps, k, rng)
             want_p, want_symbols = tracked_walk(m, k, ref)
             assert p == want_p
             assert serialize(w) == serialize(Cat(tuple(want_symbols)))
             assert rng.integers(2**62) == ref.integers(2**62)  # same stream consumed
-        m = three_cycle_lazy_measure(6)
-        rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
-        assert sample_walk(m, k, rng) == tracked_walk(m, k, ref)[0]
-        assert rng.integers(2**62) == ref.integers(2**62)
 
 
-def test_sample_walk_word_needs_labeled_atoms():
-    m = three_cycle_lazy_measure(5)
-    with pytest.raises(ValueError):
-        sample_walk(m, 20, np.random.default_rng(0), return_word=True)
+def test_batch_codes_match_single_draws():
+    n, k, count = 12, 229, 7
+    g, h = random_uniform(n, np.random.default_rng(8)), random_uniform(n, np.random.default_rng(9))
+    steps = StepTable.of(g, h)
+    rng, ref = np.random.default_rng(5), np.random.default_rng(5)
+    codes = lazy_step_codes(k, rng, count)
+    assert codes.shape == (count, k)
+    images = steps.track(codes)
+    for b in range(count):
+        p, w = sample_walk(steps, k, ref)
+        assert Permutation(images[b]) == p
+        assert serialize(steps.word(codes[b])) == serialize(w)
+    assert rng.integers(2**62) == ref.integers(2**62)
+
+
+@pytest.mark.parametrize("kind", ["involution", "inverse"])
+def test_step_symbols_follow_measure_merge(kind):
+    # coinciding steps carry the first symbol in the order g, g^-1, h, h^-1
+    n = 12
+    if kind == "involution":
+        g, h = perm_from_cycles(n, (1, 2), (3, 4)), perm_from_cycles(n, tuple(range(1, n + 1)))
+        want = ["(gen g)", "(gen g)", "(gen h)", "(inv (gen h))"]
+    else:
+        g = random_uniform(n, np.random.default_rng(3))
+        h = g.inverse()
+        want = ["(gen g)", "(inv (gen g))", "(inv (gen g))", "(gen g)"]
+    steps = StepTable.of(g, h)
+    assert [serialize(w) for w in steps.symbols] == want
+    symbol_of = {a.perm: a.symbol for a in lazy_generator_measure(g, h).atoms}
+    for code in range(STAY):
+        perm = Permutation(steps.images[code])
+        assert serialize(steps.symbols[code]) == serialize(symbol_of[perm])
+    assert Permutation(steps.images[STAY]).is_identity()
 
 
 def test_generated_mask_sizes():
