@@ -41,17 +41,6 @@ from .perm import (
 from .schreier import TupleGraph, estimate_gap
 from .word import expanded_length, node_count, serialize
 
-SUBCOMMANDS = (
-    "shrink",
-    "synth",
-    "schreier-gap",
-    "gap-exact",
-    "gap-brute",
-    "mix-exact",
-    "compare",
-    "sweep",
-)
-
 _BUILD_ID: str | None = None
 
 
@@ -171,12 +160,14 @@ def _mix_measure(args, group: walk_mod.DenseGroup) -> walk_mod.WalkMeasure:
 
 
 def run_mix_exact(args) -> dict:
+    if args.table_max < 0:
+        raise ValueError(f"--table-max must be non-negative, got {args.table_max}")
     group = walk_mod.DenseGroup(args.group, args.n)
     m = _mix_measure(args, group)
     strong = walk_mod.strong_mixing_time(m, group, cap=args.cap)
     u = 1.0 / group.size
     last = min(strong, args.table_max)
-    rows = itertools.islice(walk_mod.evolution(m, group), max(0, last + 1))
+    rows = itertools.islice(walk_mod.evolution(m, group), last + 1)
     table = [
         {
             "k": k,

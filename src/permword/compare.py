@@ -26,14 +26,16 @@ import numpy as np
 from .errors import InvariantError
 from .perm import Permutation
 from .walk import (
+    STAY,
     DenseGroup,
+    StepTable,
     WalkMeasure,
     gather_matrix,
     three_cycles,
     transition_tables,
     translated_class,
 )
-from .word import GEN_G, GEN_H, Cat, Inv, Word, generator_counts
+from .word import Cat, Word, generator_counts
 from .synth import SynthContext, synthesize
 
 __all__ = [
@@ -74,20 +76,16 @@ def bfs_words(g: Permutation, h: Permutation) -> dict[Permutation, Word]:
         raise ValueError("generator degree mismatch")
     if g.degree > MAX_BFS_DEGREE:
         raise ValueError(f"breadth-first word tables need degree <= {MAX_BFS_DEGREE}")
-    moves = (
-        (GEN_G, g),
-        (Inv(GEN_G), g.inverse()),
-        (GEN_H, h),
-        (Inv(GEN_H), h.inverse()),
-    )
+    steps = StepTable.of(g, h)
+    moves = [(sym, Permutation(img)) for sym, img in zip(steps.symbols, steps.images[:STAY])]
     ident = Permutation.identity(g.degree)
     words: dict[Permutation, Word] = {ident: Cat(())}
     queue: deque[Permutation] = deque([ident])
     while queue:
         cur = queue.popleft()
         wcur = words[cur]
-        for sym, p in moves:
-            nxt = cur * p
+        for sym, step in moves:
+            nxt = cur * step
             if nxt not in words:
                 words[nxt] = Cat((wcur, sym))
                 queue.append(nxt)
@@ -139,15 +137,35 @@ def _parse_mode(mode: str) -> int | None:
     raise ValueError(f"mode must be 'exact' or 'sample:M', got {mode!r}")
 
 
-def _accumulate(
+def compute_A(
     g: Permutation,
     h: Permutation,
     ctx: SynthContext | None,
-    mode: str,
-    rng: np.random.Generator | None,
-    per_generator: bool,
-):
-    """Shared core: the four per-symbol sums plus word statistics."""
+    mode: str = "exact",
+    rng: np.random.Generator | None = None,
+    *,
+    per_generator: bool = False,
+) -> Fraction | float:
+    """The comparison constant A of comparison_report."""
+    return comparison_report(g, h, ctx, mode, rng, per_generator=per_generator).A
+
+
+def comparison_report(
+    g: Permutation,
+    h: Permutation,
+    ctx: SynthContext | None,
+    mode: str = "exact",
+    rng: np.random.Generator | None = None,
+    *,
+    per_generator: bool = False,
+) -> ComparisonReport:
+    """The comparison constant A (an exact Fraction in exact mode), the gap
+    bound it transfers, and the statistics of the words behind it.
+
+    ctx None selects breadth-first word tables (degree <= 8); otherwise
+    every reference element is synthesized through the context. Synthesis
+    failures propagate.
+    """
     n = g.degree
     pprime = reference_measure(g, h)
     provider = _word_provider(g, h, ctx)
@@ -190,39 +208,6 @@ def _accumulate(
         # Hoeffding half-width at 95% over the four sums; reported, not asserted
         a_value = float(a_value)
         err = inv_ps * max_term * math.sqrt(math.log(8 / 0.05) / (2 * samples))
-    return a_value, len(items), max_len, err
-
-
-def compute_A(
-    g: Permutation,
-    h: Permutation,
-    ctx: SynthContext | None,
-    mode: str = "exact",
-    rng: np.random.Generator | None = None,
-    *,
-    per_generator: bool = False,
-) -> Fraction | float:
-    """The comparison constant A; exact Fraction in exact mode.
-
-    ctx None selects breadth-first word tables (degree <= 8); otherwise
-    every reference element is synthesized through the context. Synthesis
-    failures propagate.
-    """
-    a_value, _, _, _ = _accumulate(g, h, ctx, mode, rng, per_generator)
-    return a_value
-
-
-def comparison_report(
-    g: Permutation,
-    h: Permutation,
-    ctx: SynthContext | None,
-    mode: str = "exact",
-    rng: np.random.Generator | None = None,
-    *,
-    per_generator: bool = False,
-) -> ComparisonReport:
-    n = g.degree
-    a_value, used, max_len, err = _accumulate(g, h, ctx, mode, rng, per_generator)
     ref = Fraction(3, n - 1)
     return ComparisonReport(
         n=n,
@@ -230,7 +215,7 @@ def comparison_report(
         gap_reference=ref,
         gap_lower_bound=gap_lower_bound(a_value, ref),
         mode=mode,
-        words_used=used,
+        words_used=len(items),
         max_word_length=max_len,
         sample_error=err,
     )

@@ -110,6 +110,8 @@ def estimate_gap(
     eigenvalues fight but decreases geometrically once one wins. A
     disconnected graph yields lambda1 -> 1 and gap -> 0.
     """
+    if iters < 1:
+        raise ValueError(f"power iteration needs at least one iteration, got {iters}")
     if rng is None:
         rng = np.random.default_rng(0)
     num = graph.num_vertices

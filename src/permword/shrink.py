@@ -12,8 +12,11 @@ the result is verifiable by evaluation.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
+from operator import itemgetter
+from typing import Iterator
 
 import numpy as np
 
@@ -84,6 +87,23 @@ def _candidate_key(perm: Permutation, word_len: int, j: int, family: int):
     return (bucket, l * word_len, j, family), cyc, l
 
 
+def _scan(
+    h: Permutation, jmax: int, prefix: WordElement | None, plen: int, family: int
+) -> Iterator[tuple[tuple, LongCycleElement]]:
+    """Valid (key, candidate) pairs of prefix * h^j for j = 1..jmax, in j
+    order; the word is Pow(h, j) alone when there is no prefix, and the
+    key scores it as a word of plen + j symbols."""
+    hp = h
+    for j in range(1, jmax + 1):
+        perm = hp if prefix is None else prefix.perm * hp
+        scored = _candidate_key(perm, plen + j, j, family)
+        if scored is not None:
+            key, cyc, l = scored
+            word = Pow(GEN_H, j) if prefix is None else Cat((prefix.word, Pow(GEN_H, j)))
+            yield key, LongCycleElement(WordElement(word, perm), l, tuple(cyc))
+        hp = hp * h
+
+
 def find_long_cycle_element(
     g: Permutation,
     h: Permutation,
@@ -117,25 +137,15 @@ def find_long_cycle_element(
         )
     jmax = min(math.ceil(SCAN_CONSTANT * math.log(n)), h.order())
 
-    best = None
-    hp = h
-    for j in range(1, jmax + 1):
-        for family, (perm, word, wlen) in enumerate(
-            [
-                (hp, Pow(GEN_H, j), j),
-                (g * hp, Cat((GEN_G, Pow(GEN_H, j))), j + 1),
-            ]
-        ):
-            scored = _candidate_key(perm, wlen, j, family)
-            if scored is None:
-                continue
-            key, cyc, l = scored
-            if best is None or key < best[0]:
-                best = (key, WordElement(word, perm), l, cyc)
-        hp = hp * h
-    if best is not None:
-        _, el, l, cyc = best
-        return LongCycleElement(element=el, length=l, cycle=tuple(cyc))
+    found = min(
+        itertools.chain(
+            _scan(h, jmax, None, 0, 0), _scan(h, jmax, WordElement(GEN_G, g), 1, 1)
+        ),
+        key=itemgetter(0),
+        default=None,
+    )
+    if found is not None:
+        return found[1]
 
     # Rare: neither generator family produced a long cycle. Mix with a
     # random word and rescan, first valid candidate wins. Two tiers:
@@ -143,31 +153,12 @@ def find_long_cycle_element(
     # then length-2n words, long enough to decorrelate the cycle type
     # from the generators' own.
     steps = StepTable.of(g, h)
-
-    def scan_with_prefix(wlen: int) -> LongCycleElement | None:
-        wperm, wword = steps.materialize(rng.integers(0, 4, size=wlen))
-        hp = h
-        for j in range(1, jmax + 1):
-            perm = wperm * hp
-            scored = _candidate_key(perm, wlen + j, j, 0)
-            if scored is not None:
-                _, cyc, l = scored
-                word = Cat((wword, Pow(GEN_H, j)))
-                return LongCycleElement(
-                    element=WordElement(word, perm), length=l, cycle=tuple(cyc)
-                )
-            hp = hp * h
-        return None
-
     short_len = math.ceil(2 * math.log(n)) + 2
-    for _ in range(FALLBACK_WORDS):
-        found = scan_with_prefix(short_len)
+    for plen in [short_len] * FALLBACK_WORDS + [2 * n] * 8:
+        wperm, wword = steps.materialize(rng.integers(0, 4, size=plen))
+        found = next(_scan(h, jmax, WordElement(wword, wperm), plen, 0), None)
         if found is not None:
-            return found
-    for _ in range(8):
-        found = scan_with_prefix(2 * n)
-        if found is not None:
-            return found
+            return found[1]
     raise RetryExhaustedError(
         f"no element with a cycle of length >= 3n/4 and nontrivial power "
         f"found in {jmax} powers and {FALLBACK_WORDS + 8} fallback words"
@@ -273,7 +264,15 @@ class ShrinkResult:
 def word_length_budget(
     n: int, budget_coefficient: float = BUDGET_COEFFICIENT
 ) -> int:
+    if not 0 < budget_coefficient < math.inf:
+        raise ValueError(f"budget coefficient must be positive and finite: {budget_coefficient}")
     return math.ceil(budget_coefficient * n * math.log2(n) ** BUDGET_EXPONENT)
+
+
+def _check_budget(word: Word, budget: int) -> None:
+    length = expanded_length(word)
+    if length > budget:
+        raise BudgetExceededError(f"word length {length} exceeds budget {budget}")
 
 
 def shrink_support(
@@ -289,21 +288,23 @@ def shrink_support(
     support is at most n - l <= n/4) and iterates commutator steps until
     the support is at most 3. Iteration count is capped at
     ceil(4 log2 log2 n) + 4 and the word length at
-    budget_coefficient * n * (log2 n)^BUDGET_EXPONENT; exceeding either
-    raises rather than returning an oversized result.
+    budget_coefficient * n * (log2 n)^BUDGET_EXPONENT, s0 included;
+    exceeding either raises rather than returning an oversized result.
+    A coefficient that is not positive and finite is a ValueError.
     """
     if g.degree != h.degree:
         raise ValueError("degree mismatch")
     n = g.degree
+    budget = word_length_budget(n, budget_coefficient)
     v = find_long_cycle_element(g, h, rng)
     l = v.length
     s = WordElement(Pow(v.word, l), v.perm**l)
     supp = s.perm.support_size()
     if not 0 < supp <= n - l:
         raise InvariantError("v^l support must be nonzero and avoid the cycle")
+    _check_budget(s.word, budget)
 
     k = walk_length(n)
-    budget = word_length_budget(n, budget_coefficient)
     max_iter = math.ceil(4 * math.log2(math.log2(n))) + 4
     trace = [supp]
     trials: list[int] = []
@@ -317,10 +318,7 @@ def shrink_support(
         iterations += 1
         trace.append(s.perm.support_size())
         trials.append(tries)
-        if expanded_length(s.word) > budget:
-            raise BudgetExceededError(
-                f"word length {expanded_length(s.word)} exceeds budget {budget}"
-            )
+        _check_budget(s.word, budget)
     # commutators are even, and an even non-identity element moving at
     # most 3 points is exactly a 3-cycle
     if iterations > 0 and not (s.perm.is_even() and s.perm.support_size() == 3):

@@ -142,6 +142,7 @@ class WalkMeasure:
         self.atoms = atoms
         self.degree = degree
         self._by_perm = {a.perm: a for a in atoms}
+        self._tables: dict[DenseGroup, tuple[np.ndarray, np.ndarray]] = {}
 
     def prob_of(self, p: Permutation) -> float:
         a = self._by_perm.get(p)
@@ -266,17 +267,24 @@ def transition_tables(m: WalkMeasure, group: DenseGroup) -> tuple[np.ndarray, np
     """Gather tables for convolution: idx[i, z] = index of z * s_i^-1.
 
     One convolution step is new[z] = sum_i probs[i] * old[idx[i, z]].
+    The measure keeps the read-only tables of each group they were built
+    for, so every walk of one measure on one group shares a single build.
     """
     if m.degree != group.n:
         raise ValueError("measure/group degree mismatch")
-    idx = np.empty((len(m.atoms), group.size), dtype=np.int32)
-    probs = np.empty(len(m.atoms))
-    for i, atom in enumerate(m.atoms):
-        sinv = atom.perm.inverse().images
-        # (z * s^-1).images = sinv[z.images], for all rows z at once
-        idx[i] = group.index_rows(sinv[group.perms])
-        probs[i] = atom.prob
-    return idx, probs
+    tables = m._tables.get(group)
+    if tables is None:
+        idx = np.empty((len(m.atoms), group.size), dtype=np.int32)
+        probs = np.empty(len(m.atoms))
+        for i, atom in enumerate(m.atoms):
+            sinv = atom.perm.inverse().images
+            # (z * s^-1).images = sinv[z.images], for all rows z at once
+            idx[i] = group.index_rows(sinv[group.perms])
+            probs[i] = atom.prob
+        idx.setflags(write=False)
+        probs.setflags(write=False)
+        tables = m._tables[group] = (idx, probs)
+    return tables
 
 
 def evolve_exact(m: WalkMeasure, group: DenseGroup, k: int) -> Distribution:
@@ -319,6 +327,8 @@ def evolution(m: WalkMeasure, group: DenseGroup):
 
 def _stopping_time(m: WalkMeasure, group: DenseGroup, passes, cap: int, what: str) -> int:
     """Least k whose distance to uniform d - 1/|G| passes; MixingCapError past cap."""
+    if cap < 0:
+        raise ValueError(f"step cap must be non-negative, got {cap}")
     u = 1.0 / group.size
     for k, d in evolution(m, group):
         if passes(d - u):

@@ -133,6 +133,10 @@ def test_usage_errors_exit_2(capsys):
     assert dispatch(["gap-exact"]) == 2  # missing --n
     assert dispatch(["shrink", "--n", "10", "--seed", "0"]) == 2  # infeasible degree
     assert dispatch(["mix-exact", "--n", "4", "--group", "sym"]) == 2  # parity
+    assert dispatch(["mix-exact", "--n", "4", "--table-max", "-1"]) == 2
+    assert dispatch(["mix-exact", "--n", "4", "--cap", "-1"]) == 2
+    assert dispatch(["schreier-gap", "--n", "6", "--max-iters", "0"]) == 2
+    assert dispatch(["shrink", "--n", "20", "--seed", "0", "--budget-c", "-1"]) == 2
     capsys.readouterr()
 
 
@@ -151,6 +155,33 @@ def test_retry_class_failures_exit_1(capsys):
     assert code == 1
     assert rec["payload"]["success"] is False
     assert rec["payload"]["error"] == "BudgetExceededError"
+    # no commutator step at all: v^l alone (105 symbols) is over a budget of 2
+    code, rec = run_record(
+        capsys, ["shrink", "--n", "20", "--seed", "0", "--budget-c", "0.001"]
+    )
+    assert code == 1
+    assert rec["payload"]["error"] == "BudgetExceededError"
+
+
+def test_mix_exact_builds_tables_once(capsys, monkeypatch):
+    # one gather-table build looks up one row block per atom; the strong
+    # time, the distance table, t2 and both check_argu passes share it
+    from permword import DenseGroup, three_cycle_lazy_measure
+
+    real = DenseGroup.index_rows
+    calls = []
+
+    def counting(self, rows):
+        calls.append(len(rows))
+        return real(self, rows)
+
+    monkeypatch.setattr(DenseGroup, "index_rows", counting)
+    code, rec = run_record(
+        capsys,
+        ["mix-exact", "--n", "5", "--group", "alt", "--walk", "3cycles", "--eps", "0.5"],
+    )
+    assert code == 0 and "argu" in rec["payload"]
+    assert len(calls) == len(three_cycle_lazy_measure(5).atoms)
 
 
 def test_mix_exact_payload_shape(capsys):

@@ -184,6 +184,9 @@ def test_comparison_report_fields():
     assert rep.mode == "exact"
     assert rep.sample_error is None
     assert rep.words_used >= 1 and rep.max_word_length >= 1
+    assert compute_A(g, h, None, "exact") == rep.A
+    sampled = comparison_report(g, h, None, "sample:40", np.random.default_rng(5))
+    assert compute_A(g, h, None, "sample:40", np.random.default_rng(5)) == sampled.A
 
 
 def test_gap_lower_bound_rejects_nonpositive():

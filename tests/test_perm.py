@@ -15,6 +15,7 @@ from permword import (
     random_uniform,
     three_cycle_factorization,
 )
+from permword.perm import format_images
 
 perms = st.integers(2, 12).flatmap(
     lambda n: st.permutations(list(range(n))).map(Permutation)
@@ -103,6 +104,7 @@ def test_parity_is_multiplicative(p, q):
 @given(perms)
 def test_format_parse_roundtrip(p):
     assert parse_permutation(format_permutation(p), degree=p.degree) == p
+    assert parse_permutation(format_images(p)) == p
 
 
 def test_parse_rejects_garbage():

@@ -56,6 +56,32 @@ def test_long_cycle_fallback_builds_from_a_prefix_word():
         assert not (lc.perm ** lc.length).is_identity()
 
 
+@pytest.mark.parametrize("n", (12, 20, 50))
+def test_long_cycle_choice_is_the_minimum_key_of_the_scan(n):
+    # oracle: score h^j and g*h^j directly, the way the scan is specified
+    checked = 0
+    for seed in range(6):
+        g, h, rng = seeded_pair(n, seed)
+        if g.is_even() and h.is_even() and n < 14:
+            continue
+        jmax = min(math.ceil(shrink.SCAN_CONSTANT * math.log(n)), h.order())
+        best = None
+        for j in range(1, jmax + 1):
+            for family, perm in enumerate((h**j, g * h**j)):
+                scored = shrink._candidate_key(perm, j + family, j, family)
+                if scored is not None and (best is None or scored[0] < best[0]):
+                    best = (scored[0], perm, scored[2])
+        if best is None:
+            continue  # the random-prefix fallback decides this pair
+        lc = find_long_cycle_element(g, h, rng)
+        _, j, family = best[0][1:]
+        assert (lc.perm, lc.length) == (best[1], best[2])
+        assert evaluate(lc.word, g, h) == lc.perm
+        assert expanded_length(lc.word) == j + family
+        checked += 1
+    assert checked >= 3
+
+
 def test_infeasible_degrees_raise_up_front():
     for n in (3, 8, 10):
         g, h, rng = seeded_pair(n, 0)
@@ -125,6 +151,12 @@ def test_shrink_respects_tiny_budget():
     g, h, rng = seeded_pair(60, 1)
     with pytest.raises(BudgetExceededError):
         shrink_support(g, h, rng, budget_coefficient=1e-4)
+    # seed 0 at n = 20 needs no commutator step: v^l itself is checked
+    g, h, rng = seeded_pair(20, 0)
+    assert shrink_support(g, h, rng).iterations == 0
+    g, h, rng = seeded_pair(20, 0)
+    with pytest.raises(BudgetExceededError):
+        shrink_support(g, h, rng, budget_coefficient=1e-3)
 
 
 def test_budget_formula():
@@ -132,6 +164,9 @@ def test_budget_formula():
     assert word_length_budget(100, budget_coefficient=1.0) == math.ceil(
         100 * math.log2(100) ** 3
     )
+    for coefficient in (0.0, -1.0, math.nan, math.inf):
+        with pytest.raises(ValueError):
+            word_length_budget(100, coefficient)
 
 
 def _identity_walk(g, h, k, constraints, rng):

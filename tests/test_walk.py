@@ -274,6 +274,21 @@ def test_generated_mask_sizes():
     assert alt4.sum() == 12
 
 
+def test_transition_tables_built_once_per_measure_and_group():
+    m = three_cycle_lazy_measure(4)
+    alt4 = DenseGroup.alt(4)
+    idx, probs = transition_tables(m, alt4)
+    assert transition_tables(m, alt4)[0] is idx
+    assert transition_tables(three_cycle_lazy_measure(4), alt4)[0] is not idx
+    sym4 = DenseGroup.sym(4)
+    assert transition_tables(m, sym4)[0].shape == (len(m.atoms), sym4.size)
+    assert transition_tables(m, alt4)[0] is idx
+    with pytest.raises(ValueError):
+        idx[0, 0] = 1
+    with pytest.raises(ValueError):
+        probs[0] = 1.0
+
+
 def test_gather_matrix_symmetric_stochastic_one_step():
     group = DenseGroup.alt(4)
     m = three_cycle_lazy_measure(4)
