@@ -185,12 +185,9 @@ def run_mix_exact(args) -> dict:
         "k_vs_distance": table,
     }
     if args.eps is not None:
+        ok = walk_mod.check_argu(m, group, args.eps, cap=args.cap)
         t2 = walk_mod.mixing_time_lp(m, group, args.eps / group.size, 2, cap=args.cap)
-        payload["argu"] = {
-            "eps": args.eps,
-            "t2": t2,
-            "ok": walk_mod.check_argu(m, group, args.eps, cap=args.cap),
-        }
+        payload["argu"] = {"eps": args.eps, "t2": t2, "ok": ok}
     return payload
 
 

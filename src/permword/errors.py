@@ -13,10 +13,6 @@ class BudgetExceededError(PermwordError):
     """A produced word exceeded its guaranteed length budget."""
 
 
-class SideConditionError(PermwordError):
-    """A constructive step could not satisfy its side conditions."""
-
-
 class MixingCapError(PermwordError):
     """A mixing-time scan passed its step cap without reaching the threshold."""
 

@@ -1,12 +1,12 @@
 """Synthesis of arbitrary permutations as compressed generator words.
 
 Pipeline: shrink the generators to a 3-cycle ``kappa`` parked inside a long
-cycle ``v``, label the cycle points 1..l, and build a base 3-cycle
-B = (1 2 x) in those labels. Any labeled 3-cycle is then a commutator of
-two "edge atoms" (conjugates of kappa, or of B by powers of phi = v * B^-1),
-and an arbitrary target factors into 3-cycles that short random walks
-relocate into the cycle. Every intermediate carries its word, so the final
-word evaluates to the target exactly rather than approximately.
+cycle ``v`` and label the cycle points 1..l. Any labeled 3-cycle is then a
+commutator of two "edge atoms" kappa^{v^s gamma}, with gamma drawn from a
+pool of short random walks. An arbitrary target factors into 3-cycles; a
+factor off the cycle, or one whose edges the pool misses, is moved by a
+fresh short walk and asked for again. Every intermediate carries its word,
+so the final word evaluates to the target exactly rather than approximately.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InvariantError, RetryExhaustedError, SideConditionError
+from .errors import InvariantError, RetryExhaustedError
 from .perm import Permutation, three_cycle_factorization
 from .shrink import LongCycleElement, shrink_support, walk_length
 from .schreier import conditioned_walk
@@ -36,14 +36,12 @@ __all__ = [
     "CycleLabeling",
     "SynthContext",
     "prepare_context",
-    "build_base_cycle",
     "build_3cycle",
-    "build_3cycle_via_phi",
     "synthesize",
 ]
 
 POOL_INIT = 256  # gamma walks drawn while preparing a context
-POOL_CAP = 8192  # pool size past which edge queries take the phi route
+POOL_CAP = 8192  # pool size at which an edge query that still misses gives up
 
 
 class CycleLabeling:
@@ -75,11 +73,6 @@ class CycleLabeling:
     def shift(self, label: int, delta: int) -> int:
         return (label - 1 + delta) % len(self.points) + 1
 
-    def rotated(self, origin: int) -> "CycleLabeling":
-        """Same cycle with the label origin moved so ``origin`` becomes 1."""
-        r = origin - 1
-        return CycleLabeling(self.points[r:] + self.points[:r])
-
     def __repr__(self) -> str:
         return f"CycleLabeling({self.points!r})"
 
@@ -101,9 +94,6 @@ class SynthContext:
     walk_k: int  # walk length, also the walk count each relocation may draw
     steps: StepTable
     kappa_labels: tuple[int, int, int] = (0, 0, 0)
-    base: WordElement | None = None
-    x: int = 0
-    phi: WordElement | None = None
     parity_witness: WordElement | None = None
     # gamma pool, one row per walk: step codes, images, preimage label row;
     # pool_used holds the walks atoms have used, made once so they share words
@@ -125,8 +115,8 @@ class SynthContext:
         return frozenset(self.labeling.points)
 
 
-def _draw_walk(ctx: SynthContext, rng: np.random.Generator | None = None) -> WordElement:
-    perm, word = sample_walk(ctx.steps, ctx.walk_k, rng or ctx.rng)
+def _draw_walk(ctx: SynthContext) -> WordElement:
+    perm, word = sample_walk(ctx.steps, ctx.walk_k, ctx.rng)
     return WordElement(word, perm)
 
 
@@ -182,16 +172,30 @@ def _upgrade_transposition(
     return out
 
 
-def _relocating_walk(ctx: SynthContext, perm: Permutation, failure: str):
-    """(rho, perm^rho) for the first of up to walk_k lazy walks rho that moves
-    perm's support into the cycle; RetryExhaustedError(failure) if none does."""
+def _placements(ctx: SynthContext, perm: Permutation):
+    """Yield (rho, perm^rho) for each placement of perm inside the cycle: perm
+    itself (rho None) first, then up to walk_k lazy walks rho, each drawn only
+    when the caller asks for the next placement."""
     inside = ctx.cycle_set
+    if set(perm.support()) <= inside:
+        yield None, perm
     for _ in range(ctx.walk_k):
         rho = _draw_walk(ctx)
         moved = perm.conjugate(rho.perm)
         if set(moved.support()) <= inside:
-            return rho, moved
-    raise RetryExhaustedError(failure)
+            yield rho, moved
+
+
+def _orbit_sizes(g: Permutation, h: Permutation) -> list[int]:
+    """Sizes of the point orbits of <g, h>, largest first. Each point takes
+    the least label among itself and its two images until none changes, so
+    every orbit ends labelled by its least point."""
+    label = np.arange(g.degree)
+    while True:
+        nxt = np.minimum(label, np.minimum(label[g.images], label[h.images]))
+        if np.array_equal(nxt, label):
+            return sorted(np.unique(label, return_counts=True)[1].tolist(), reverse=True)
+        label = nxt
 
 
 def prepare_context(
@@ -201,12 +205,16 @@ def prepare_context(
 ) -> SynthContext:
     """Shrink the generators and assemble the label machinery.
 
-    Propagates the shrink feasibility errors for small degrees and even-even
-    pairs below the threshold; RetryExhaustedError when randomized placement
-    stalls (for example on intransitive generator pairs).
+    ValueError for an intransitive pair, which generates neither Alt(n) nor
+    Sym(n); propagates the shrink feasibility errors for small degrees and
+    even-even pairs below the threshold; RetryExhaustedError when randomized
+    placement stalls.
     """
     if g.degree != h.degree:
         raise ValueError("generator degree mismatch")
+    sizes = _orbit_sizes(g, h)
+    if len(sizes) > 1:
+        raise ValueError(f"<g, h> is intransitive: point orbits of sizes {sizes}")
     n = g.degree
     res = shrink_support(g, h, rng)
     v = res.long_cycle
@@ -224,90 +232,18 @@ def prepare_context(
         walk_k=k,
         steps=StepTable.of(g, h),
     )
-    if not set(kappa.perm.support()) <= ctx.cycle_set:
-        failure = "could not conjugate the 3-cycle into the long cycle"
-        ctx.kappa = kappa.conjugated_by(_relocating_walk(ctx, kappa.perm, failure)[0])
-    build_base_cycle(ctx, rng)
-    _attach_phi(ctx)
+    placed = next(_placements(ctx, kappa.perm), None)
+    if placed is None:
+        raise RetryExhaustedError("could not conjugate the 3-cycle into the long cycle")
+    if placed[0] is not None:
+        ctx.kappa = kappa.conjugated_by(placed[0])
+    ctx.kappa_labels = _kappa_labels(ctx.kappa.perm, ctx.labeling)
     if not g.is_even():
         ctx.parity_witness = WordElement(GEN_G, g)
     elif not h.is_even():
         ctx.parity_witness = WordElement(GEN_H, h)
     _extend_pool(ctx, POOL_INIT)
     return ctx
-
-
-def build_base_cycle(
-    ctx: SynthContext, rng: np.random.Generator
-) -> tuple[Word, int]:
-    """Install B = kappa^{v^s gamma} = (1 2 x) in cycle labels; return (word, x).
-
-    Scans gamma = identity, then fresh lazy walks, for a shift s placing two
-    of the conjugate's points on cyclically adjacent labels with the third
-    also on the cycle. Instead of paying more conjugation to move that pair
-    onto labels (1, 2), the labeling origin rotates to meet it, which costs
-    no word length. Rotating invalidates any existing pool rows and phi, so
-    this runs during context preparation, before either exists.
-    """
-    lab = ctx.labeling
-    l = lab.length
-    c = _kappa_labels(ctx.kappa.perm, lab)
-    offs = np.arange(l, dtype=np.int64)
-    ident = WordElement(Cat(()), Permutation.identity(ctx.degree))
-    for attempt in range(ctx.walk_k + 1):
-        gamma = ident if attempt == 0 else _draw_walk(ctx, rng)
-        fwd = np.array(
-            [lab.label_of(gamma.perm.apply(p)) for p in lab.points], dtype=np.int64
-        )
-        best = None  # (power cost, s, anchor label ca, r, w)
-        for e in range(3):
-            ca, cb, cc = c[e], c[(e + 1) % 3], c[(e + 2) % 3]
-            a_s = fwd[(offs + ca - 1) % l]
-            b_s = fwd[(offs + cb - 1) % l]
-            w_s = fwd[(offs + cc - 1) % l]
-            ok = (a_s > 0) & (w_s > 0) & (b_s == a_s % l + 1)
-            for s in np.nonzero(ok)[0]:
-                s = int(s)
-                cand = (min(s, l - s), s, ca, int(a_s[s]), int(w_s[s]))
-                if best is None or cand < best:
-                    best = cand
-        if best is None:
-            continue
-        _, s, ca, r, w_label = best
-        atom = ctx.kappa
-        if s:
-            atom = atom.conjugated_by(_v_power(ctx, s))
-        if attempt:
-            atom = atom.conjugated_by(gamma)
-        ctx.labeling = lab.rotated(r)
-        x = (w_label - r) % l + 1
-        if x < 3:
-            raise InvariantError(f"base cycle label x = {x} is below 3")
-        pts = (ctx.labeling.point_at(1), ctx.labeling.point_at(2), ctx.labeling.point_at(x))
-        _require_3cycle(atom.perm, pts, "base cycle")
-        ctx.base = atom
-        ctx.x = x
-        ctx.kappa_labels = _kappa_labels(ctx.kappa.perm, ctx.labeling)
-        ctx.pool_gammas = ctx.pool_images = ctx.pool_rows = None
-        ctx.pool_used.clear()
-        ctx.phi = None
-        return atom.word, x
-    raise RetryExhaustedError("no conjugate of kappa meets the cycle adjacently")
-
-
-def _attach_phi(ctx: SynthContext) -> None:
-    """phi = v * B^-1 fixes label 1 and splits the rest into the two orbits
-    (2 .. x-1) and (x .. l); checked point by point."""
-    base = ctx.base
-    phi = WordElement(
-        concat(ctx.v.word, Inv(base.word)), ctx.v.perm * base.perm.inverse()
-    )
-    lab, l, x = ctx.labeling, ctx.labeling.length, ctx.x
-    # label i goes to want[i - 1]: 1 -> 1, 2 -> 3 -> .. -> x-1 -> 2, x -> .. -> l -> x
-    want = [1, *range(3, x), 2, *range(x + 1, l + 1), x]
-    if [lab.label_of(phi.perm.apply(p)) for p in lab.points] != want:
-        raise InvariantError("phi does not fix label 1 and rotate (2 .. x-1) and (x .. l)")
-    ctx.phi = phi
 
 
 # -- edge atoms ---------------------------------------------------------------------
@@ -365,12 +301,12 @@ def _conjugated_atom(
 
 def _pool_edge_atom(
     ctx: SynthContext, alpha: int, beta: int, forbidden: frozenset[int]
-) -> tuple[WordElement, int] | None:
-    """Pool route: kappa^{v^s gamma} realizes (alpha -> beta) whenever gamma's
+) -> tuple[WordElement, int]:
+    """kappa^{v^s gamma} realizes (alpha -> beta) whenever gamma's
     preimage labels of alpha and beta differ by one of kappa's label gaps.
 
-    Scans pool rows in insertion order, doubling the pool on a miss; None
-    once the cap is reached (callers fall back to the phi route).
+    Scans pool rows in insertion order, doubling the pool on a miss;
+    RetryExhaustedError on a miss once the pool holds POOL_CAP walks.
     """
     lab = ctx.labeling
     l = lab.length
@@ -393,109 +329,46 @@ def _pool_edge_atom(
                 continue
             return _conjugated_atom(ctx, _pool_gamma(ctx, idx), s, alpha, beta, third), third
         if len(ctx.pool_gammas) >= POOL_CAP:
-            return None
+            raise RetryExhaustedError(f"no pool walk realizes the label edge {alpha}->{beta}")
         _extend_pool(ctx, len(ctx.pool_gammas))
 
 
-def _phi_edge_atom(
-    ctx: SynthContext, alpha: int, beta: int, forbidden: frozenset[int]
-) -> tuple[WordElement, int]:
-    """Phi route: conjugates of B by phi powers cover every label edge.
+def build_3cycle(ctx: SynthContext, r: int, s: int, t: int) -> WordElement:
+    """Word-paired 3-cycle point_at(r) -> point_at(s) -> point_at(t).
 
-    B^{phi^m} = (1, 2+m, x+m) with the two legs advancing inside their own
-    orbits, so edges out of label 1 come directly (second leg) or from the
-    inverse (third leg), and a v shift moves label 1 onto alpha. Word length
-    grows linearly in the phi power, hence fallback only.
+    Built as [P1, P2] with edge atoms P1 = (r t c), P2 = (r s d): when the
+    five labels sit on distinct points, P1^-1 P2^-1 P1 P2 = (r s t). Needs
+    c != d, hence d joins P1's forbidden set. RetryExhaustedError when the
+    pool, grown to POOL_CAP walks, still has no atom for one of the edges.
     """
-    lab = ctx.labeling
-    l, x = lab.length, ctx.x
-    l1, l2 = x - 2, l - x + 1
-    y = (beta - alpha) % l + 1
-    rot = alpha - 1
-    cands: list[tuple[int, int, bool]] = []
-    seen: set[int] = set()
-    if 2 <= y <= x - 1:
-        for i in range(l2):
-            m = y - 2 + i * l1
-            z = x + (m % l2)
-            if z not in seen:
-                seen.add(z)
-                cands.append((m, z, False))
-    else:
-        for i in range(l1):
-            m = y - x + i * l2
-            z = 2 + (m % l1)
-            if z not in seen:
-                seen.add(z)
-                cands.append((m, z, True))
-    for m, z, inverted in cands:
-        third = lab.point_at(lab.shift(z, rot))
-        if third in forbidden:
-            continue
-        atom = ctx.base
-        if m:
-            atom = atom.conjugated_by(
-                WordElement(power(ctx.phi.word, m), ctx.phi.perm ** m)
-            )
-        if inverted:
-            atom = atom.inverse()
-        if rot:
-            atom = atom.conjugated_by(_v_power(ctx, rot))
-        _require_3cycle(atom.perm, (lab.point_at(alpha), lab.point_at(beta), third), "phi atom")
-        return atom, third
-    raise SideConditionError(
-        f"every admissible third point for edge {alpha}->{beta} is forbidden"
-    )
-
-
-def _commutator_3cycle(ctx: SynthContext, r: int, s: int, t: int, atom_fn):
-    """[P1, P2] with P1 = (r t c), P2 = (r s d): when the five labels sit on
-    distinct points, P1^-1 P2^-1 P1 P2 = (r s t). Needs c != d, hence d joins
-    P1's forbidden set."""
+    if len({r, s, t}) != 3:
+        raise ValueError("labels must be distinct")
     lab = ctx.labeling
     pr, ps, pt = lab.point_at(r), lab.point_at(s), lab.point_at(t)
-    got = atom_fn(ctx, r, s, frozenset((pr, ps, pt)))
-    if got is None:
-        return None
-    p2, d = got
-    got = atom_fn(ctx, r, t, frozenset((pr, ps, pt, d)))
-    if got is None:
-        return None
-    p1, _ = got
+    p2, d = _pool_edge_atom(ctx, r, s, frozenset((pr, ps, pt)))
+    p1, _ = _pool_edge_atom(ctx, r, t, frozenset((pr, ps, pt, d)))
     out = p1.inverse() * p2.inverse() * p1 * p2
     _require_3cycle(out.perm, (pr, ps, pt), "commutator")
     return out
-
-
-def build_3cycle(ctx: SynthContext, r: int, s: int, t: int) -> WordElement:
-    """Word-paired 3-cycle point_at(r) -> point_at(s) -> point_at(t)."""
-    if len({r, s, t}) != 3:
-        raise ValueError("labels must be distinct")
-    out = _commutator_3cycle(ctx, r, s, t, _pool_edge_atom)
-    if out is None:
-        out = _commutator_3cycle(ctx, r, s, t, _phi_edge_atom)
-    return out
-
-
-def build_3cycle_via_phi(ctx: SynthContext, r: int, s: int, t: int) -> WordElement:
-    """Phi-only variant of build_3cycle; longer words, no pool dependence."""
-    if len({r, s, t}) != 3:
-        raise ValueError("labels must be distinct")
-    return _commutator_3cycle(ctx, r, s, t, _phi_edge_atom)
 
 
 # -- full synthesis -----------------------------------------------------------------
 
 
 def _factor_word(ctx: SynthContext, factor: Permutation) -> Word:
-    if set(factor.support()) <= ctx.cycle_set:
-        return build_3cycle(ctx, *_cycle_labels(ctx.labeling, factor)).word
-    failure = "could not conjugate a 3-cycle factor into the cycle"
-    rho, moved = _relocating_walk(ctx, factor, failure)
-    inner = build_3cycle(ctx, *_cycle_labels(ctx.labeling, moved))
-    moved_back = rho.perm * inner.perm * rho.perm.inverse()
-    _require_3cycle(moved_back, _cycle_points(factor), "relocated factor")
-    return concat(rho.word, inner.word, Inv(rho.word))
+    """Word for a 3-cycle factor, from the first of its placements inside the
+    cycle (itself, then lazy relocation walks rho) that build_3cycle answers."""
+    for rho, moved in _placements(ctx, factor):
+        try:
+            inner = build_3cycle(ctx, *_cycle_labels(ctx.labeling, moved))
+        except RetryExhaustedError:
+            continue
+        if rho is None:
+            return inner.word
+        moved_back = rho.perm * inner.perm * rho.perm.inverse()
+        _require_3cycle(moved_back, _cycle_points(factor), "relocated factor")
+        return concat(rho.word, inner.word, Inv(rho.word))
+    raise RetryExhaustedError("no placement of a 3-cycle factor inside the cycle was realized")
 
 
 def synthesize(ctx: SynthContext, target: Permutation) -> Word:

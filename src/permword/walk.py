@@ -356,7 +356,10 @@ def strong_mixing_time(m: WalkMeasure, group: DenseGroup, cap: int = 100_000) ->
 
 def check_argu(m: WalkMeasure, group: DenseGroup, eps: float, cap: int = 100_000) -> bool:
     """Strong-mixing-versus-l2 comparison: the time to reach l^inf distance
-    eps^2/|G| is at most twice the time to reach l^2 distance eps/|G|."""
+    eps^2/|G| is at most twice the time to reach l^2 distance eps/|G|.
+    ValueError unless 0 < eps < inf: no walk reaches l^2 distance 0."""
+    if not 0 < eps < math.inf:
+        raise ValueError(f"eps must be positive and finite, got {eps}")
     size = group.size
     t2 = mixing_time_lp(m, group, eps / size, 2, cap)
     try:

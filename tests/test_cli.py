@@ -97,7 +97,7 @@ def test_payloads_are_deterministic(capsys):
 PINNED_PAYLOADS = {
     "synth": (
         ["synth", "--n", "14", "--seed", "3", "--emit-word"],
-        "1d0e06ac672b2a426731ea012838dd3df22a524c",
+        "d1d60ccc19c866736c1861b9d10800436bb80625",
     ),
     "shrink": (
         ["shrink", "--n", "100", "--seed", "7"],
@@ -105,7 +105,7 @@ PINNED_PAYLOADS = {
     ),
     "compare": (
         ["compare", "--n", "12", "--seed", "1", "--mode", "sample:16"],
-        "028987b447d51d0a0a70a7d6e9709a4916317020",
+        "9ccf0f4c32b598abc3619d25a010a7efbb24f023",
     ),
 }
 
@@ -137,6 +137,12 @@ def test_usage_errors_exit_2(capsys):
     assert dispatch(["mix-exact", "--n", "4", "--cap", "-1"]) == 2
     assert dispatch(["schreier-gap", "--n", "6", "--max-iters", "0"]) == 2
     assert dispatch(["shrink", "--n", "20", "--seed", "0", "--budget-c", "-1"]) == 2
+    # the l2 threshold eps/|G| is unreachable for eps <= 0
+    mix = ["mix-exact", "--n", "4", "--group", "alt", "--walk", "3cycles", "--cap", "3000"]
+    assert dispatch(mix + ["--eps", "0"]) == 2
+    assert dispatch(mix + ["--eps", "-0.5"]) == 2
+    # orbits of sizes 15 and 1: the pair generates neither Alt(16) nor Sym(16)
+    assert dispatch(["synth", "--n", "16", "--seed", "0"]) == 2
     capsys.readouterr()
 
 
@@ -147,8 +153,7 @@ def test_help_exits_0(capsys):
 
 
 def test_retry_class_failures_exit_1(capsys):
-    # these generators fix points, so random targets are unreachable and the
-    # relocation/walk machinery exhausts its caps
+    # a word-length budget far below any commutator word: the shrink gives up
     code, rec = run_record(
         capsys, ["shrink", "--n", "60", "--seed", "1", "--budget-c", "0.0001"]
     )

@@ -1,8 +1,11 @@
-"""Word synthesis: labeling arithmetic, the congruence solver, base-cycle
-construction, commutator 3-cycles, and end-to-end exactness."""
+"""Word synthesis: labeling arithmetic, the congruence solver over the gamma
+pool, commutator 3-cycles, answering a pool miss by relocation, the
+transitivity check, and end-to-end exactness."""
 
+import dataclasses
 import math
 import os
+import re
 import subprocess
 import sys
 import textwrap
@@ -24,13 +27,8 @@ from permword import (
     random_uniform,
     synthesize,
 )
-from permword import synth
-from permword.synth import (
-    CycleLabeling,
-    _preimage_label_rows,
-    build_3cycle,
-    build_3cycle_via_phi,
-)
+from permword import RetryExhaustedError, synth
+from permword.synth import CycleLabeling, _preimage_label_rows, build_3cycle
 
 from conftest import seeded_pair
 
@@ -49,9 +47,6 @@ def test_cycle_labeling_roundtrip_and_shift():
     assert lab.label_of(3) == 0
     assert lab.shift(5, 1) == 1
     assert lab.shift(1, -1) == 5
-    rot = lab.rotated(3)
-    assert rot.points == (2, 7, 5, 4, 9)
-    assert rot.label_of(2) == 1
     with pytest.raises(ValueError):
         lab.point_at(6)
     with pytest.raises(ValueError):
@@ -66,31 +61,9 @@ def test_prepare_context_invariants(ctx20):
     assert ctx.kappa.perm.support_size() == 3
     assert set(ctx.kappa.perm.support()) <= set(ctx.labeling.points)
     assert evaluate(ctx.kappa.word, ctx.g, ctx.h) == ctx.kappa.perm
-    # base cycle realizes labels (1, 2, x) with 3 <= x <= l
-    assert ctx.base is not None and 3 <= ctx.x <= ctx.cycle_length
-    pts = tuple(ctx.labeling.point_at(i) for i in (1, 2, ctx.x))
-    assert ctx.base.perm == Permutation.from_cycles(n, [pts])
-    assert evaluate(ctx.base.word, ctx.g, ctx.h) == ctx.base.perm
-    # phi fixes label 1 and rotates the two label arcs
-    assert ctx.phi is not None
-    p1 = ctx.labeling.point_at(1)
-    assert ctx.phi.perm.apply(p1) == p1
     # parity witness exists iff a generator is odd, and is that generator
     if ctx.parity_witness is not None:
         assert ctx.parity_witness.perm.parity() == 1
-
-
-def test_base_cycle_labels_cover_origin(ctx20):
-    # the base cycle always uses labels (1, 2, x): label re-anchoring moved
-    # the origin onto it rather than paying extra conjugation
-    ctx = ctx20
-    lab = ctx.labeling
-    assert lab.label_of(lab.point_at(1)) == 1
-    assert set(ctx.base.perm.support()) == {
-        lab.point_at(1),
-        lab.point_at(2),
-        lab.point_at(ctx.x),
-    }
 
 
 def test_build_3cycle_routes_agree(ctx20):
@@ -100,14 +73,107 @@ def test_build_3cycle_routes_agree(ctx20):
     for _ in range(12):
         r, s, t = (int(x) + 1 for x in rng.choice(l, size=3, replace=False))
         pool = build_3cycle(ctx, r, s, t)
-        phi = build_3cycle_via_phi(ctx, r, s, t)
         want = Permutation.from_cycles(
             ctx.degree,
             [(ctx.labeling.point_at(r), ctx.labeling.point_at(s), ctx.labeling.point_at(t))],
         )
-        assert pool.perm == want and phi.perm == want
+        assert pool.perm == want
         assert evaluate(pool.word, ctx.g, ctx.h) == want
-        assert evaluate(phi.word, ctx.g, ctx.h) == want
+
+
+def test_pool_miss_is_answered_by_relocation(ctx20, monkeypatch):
+    # a miss of build_3cycle moves the factor with a relocation walk and asks again
+    ctx = ctx20
+    real = synth.build_3cycle
+    calls = []
+
+    def miss_once(ctx, r, s, t):
+        calls.append((r, s, t))
+        if len(calls) == 1:
+            raise RetryExhaustedError("forced miss")
+        return real(ctx, r, s, t)
+
+    monkeypatch.setattr(synth, "build_3cycle", miss_once)
+    target = Permutation.from_cycles(20, [ctx.labeling.points[:3]])
+    w = synthesize(ctx, target)
+    assert evaluate(w, ctx.g, ctx.h) == target
+    assert len(calls) >= 2
+
+
+def test_pool_miss_at_cap_raises(ctx20, monkeypatch):
+    # zeroed preimage rows: no pool walk lands an edge on the cycle
+    ctx = dataclasses.replace(ctx20, pool_rows=np.zeros_like(ctx20.pool_rows))
+    size = len(ctx.pool_gammas)
+    monkeypatch.setattr(synth, "POOL_CAP", size)
+    with pytest.raises(RetryExhaustedError):
+        build_3cycle(ctx, 1, 2, 3)
+    assert len(ctx.pool_gammas) == size == len(ctx20.pool_gammas)
+
+
+def test_small_pool_cap_misses_are_relocated_exactly(monkeypatch):
+    # a 256-walk cap at n = 100 makes build_3cycle miss; every word stays
+    # exact and within the criterion-6 budget
+    monkeypatch.setattr(synth, "POOL_CAP", 256)
+    real = synth.build_3cycle
+    misses = []
+
+    def counting(ctx, r, s, t):
+        try:
+            return real(ctx, r, s, t)
+        except RetryExhaustedError:
+            misses.append((r, s, t))
+            raise
+
+    monkeypatch.setattr(synth, "build_3cycle", counting)
+    n = 100
+    g, h, rng = seeded_pair(n, 0)
+    ctx = prepare_context(g, h, rng)
+    budget = 10 * n * n * math.log2(n) ** 3
+    for _ in range(10):
+        target = random_even(n, rng)
+        w = synthesize(ctx, target)
+        assert evaluate(w, g, h) == target
+        assert expanded_length(w) <= budget
+    assert len(ctx.pool_gammas) == 256
+    assert misses
+
+
+def _orbit_search(g, h):
+    """Sizes of the point orbits of <g, h>, largest first, by breadth-first search."""
+    seen, sizes = set(), []
+    for start in range(1, g.degree + 1):
+        if start in seen:
+            continue
+        seen.add(start)
+        orbit = [start]
+        for x in orbit:
+            for y in (g.apply(x), h.apply(x)):
+                if y not in seen:
+                    seen.add(y)
+                    orbit.append(y)
+        sizes.append(len(orbit))
+    return sorted(sizes, reverse=True)
+
+
+def test_intransitive_pairs_are_value_errors(monkeypatch):
+    # every seeded pair of n 9..60 x seeds 0..19: the transitivity check
+    # agrees with an orbit search, and an intransitive pair is a ValueError
+    # raised before any shrink work
+    def no_shrink(*args):
+        raise AssertionError("shrink ran on an intransitive pair")
+
+    monkeypatch.setattr(synth, "shrink_support", no_shrink)
+    intransitive = 0
+    for n in range(9, 61):
+        for seed in range(20):
+            g, h, rng = seeded_pair(n, seed)
+            sizes = _orbit_search(g, h)
+            assert synth._orbit_sizes(g, h) == sizes
+            if len(sizes) > 1:
+                intransitive += 1
+                with pytest.raises(ValueError, match=re.escape(f"sizes {sizes}")):
+                    prepare_context(g, h, rng)
+    assert intransitive == 43
 
 
 def test_build_3cycle_rejects_repeated_labels(ctx20):
