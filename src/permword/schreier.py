@@ -2,9 +2,9 @@
 
 The graph's vertices are the injective ell-tuples over {1..n}; the edge
 multiset at x is {x^g, x^(g^-1), x^h, x^(h^-1)} acting coordinatewise, kept
-as a 4-row neighbor table that the power-iteration eigenvalue estimator
-works off through the kernel backend. The constrained walk sampler pushes
-the constrained points through the pair's walk.StepTable instead.
+as a 4-row neighbor table that the Lanczos eigenvalue estimator works off
+through the kernel backend. The constrained walk sampler pushes the
+constrained points through the pair's walk.StepTable instead.
 """
 
 from __future__ import annotations
@@ -85,6 +85,17 @@ class TupleGraph:
         return gather_matrix(self.neighbors, np.full(4, 0.25))
 
 
+# A Lanczos step whose new off-diagonal beta is at most this has closed the
+# Krylov space: it is invariant under A, so its top Ritz value is exact.
+_CLOSED = 1e-12
+# Ritz checks run every _CHECK_EVERY steps, then every tenth of the steps
+# taken, so their O(m) cost each stays below the products' over a long run.
+_CHECK_EVERY = 20
+# Cap on the sweeps that narrow the top Ritz value in one check; the solves
+# that follow need only a shift close above it.
+_MAX_SWEEPS = 100
+
+
 @dataclass(frozen=True)
 class GapEstimate:
     lambda1: float
@@ -92,7 +103,120 @@ class GapEstimate:
     residual: float
     iterations: int
     converged: bool
-    residual_trace: tuple[float, ...] = ()
+
+
+def _lanczos(graph: TupleGraph, q: np.ndarray):
+    """Plain three-term Lanczos recurrence on the mean-deflated normalized
+    adjacency from the unit, mean-zero vector q, holding three vectors and no
+    basis. Yields (q_j, alpha_j, beta_j) for j = 1, 2, ... and stops after a
+    beta at most _CLOSED. Deterministic, so a second run from the same q
+    yields the same vectors bit for bit."""
+    q_prev = None
+    beta = 0.0
+    while True:
+        w = graph.apply_adjacency(q)
+        w -= w.mean()
+        if q_prev is not None:
+            w -= beta * q_prev
+        alpha = float(q @ w)
+        w -= alpha * q
+        beta = float(np.linalg.norm(w))
+        yield q, alpha, beta
+        if beta <= _CLOSED:
+            return
+        q_prev, q = q, w / beta
+
+
+def _pivots(alpha: list[float], beta: list[float], sigma: float):
+    """LDL^T pivots of sigma*I - T for the tridiagonal T with diagonal alpha
+    and off-diagonal beta, and p'/p at sigma for p(sigma) = det(sigma*I - T);
+    None unless every pivot is positive, that is unless sigma lies above the
+    largest eigenvalue of T. One O(m) sweep."""
+    d = sigma - alpha[0]
+    if d <= 0.0:
+        return None
+    dd = 1.0  # derivative of the pivot in sigma
+    ratio = 1.0 / d
+    piv = [d]
+    for a, b in zip(alpha[1:], beta):
+        r = b * b / d
+        dd = 1.0 + r * dd / d
+        d = sigma - a - r
+        if d <= 0.0:
+            return None
+        ratio += dd / d
+        piv.append(d)
+    return piv, ratio
+
+
+def _solve(piv: list[float], beta: list[float], b: Sequence[float]) -> np.ndarray:
+    """Unit solution direction of (sigma*I - T) x = b from the pivots of
+    _pivots at sigma: one forward and one backward O(m) sweep."""
+    m = len(piv)
+    y = [0.0] * m
+    acc = y[0] = b[0] / piv[0]
+    for i in range(1, m):
+        acc = y[i] = (b[i] + beta[i - 1] * acc) / piv[i]
+    for i in range(m - 2, -1, -1):
+        acc = y[i] = y[i] + beta[i] * acc / piv[i]
+    out = np.array(y)
+    return out / np.linalg.norm(out)
+
+
+def _top_ritz(
+    alpha: list[float], beta: list[float], lower: float, width: float
+) -> tuple[float, np.ndarray]:
+    """Largest eigenvalue theta of the tridiagonal T (diagonal alpha,
+    off-diagonal beta) and its unit eigenvector, in O(m) sweeps.
+
+    lower is a Rayleigh quotient of T (the previous check's theta: T's
+    leading block is the earlier T, so by interlacing theta cannot fall) and
+    width a guess at how far theta may have moved. Sturm tests (_pivots)
+    keep theta in a bracket [lo, hi). hi is lowered by Newton steps on
+    det(sigma*I - T), which from above decrease monotonically to theta, or
+    the bracket is halved when a Newton step is not below half the one
+    before it (hi far above theta, or a cluster of Ritz copies). Two
+    inverse-iteration solves at hi give the vector, whose Rayleigh quotient
+    is theta.
+    """
+    lo = max(lower, max(alpha))
+    scale = 1e-12 * max(1.0, abs(lo))
+    step = scale
+    while (got := _pivots(alpha, beta, lo + step)) is None:
+        lo += step  # theta moved since the last check; a converged one does not
+        step = max(width, 16.0 * step)
+    hi = lo + step
+    last = math.inf
+    for _ in range(_MAX_SWEEPS):
+        step = 1.0 / got[1]
+        if min(step, hi - lo) <= scale:
+            break
+        sigma = hi - step if step < 0.5 * last else 0.5 * (lo + hi)
+        last = step
+        trial = _pivots(alpha, beta, sigma)
+        if trial is None:
+            lo = sigma
+        else:
+            hi, got = sigma, trial
+    piv = got[0]
+    x = _solve(piv, beta, _solve(piv, beta, [1.0] * len(piv)))
+    tx = np.asarray(alpha) * x
+    off = np.asarray(beta)
+    tx[:-1] += off * x[1:]
+    tx[1:] += off * x[:-1]
+    return float(x @ tx), x
+
+
+def _ritz_residual(graph: TupleGraph, v: np.ndarray, s: np.ndarray, theta: float) -> float:
+    """||A y - theta y|| / ||y|| for the Ritz vector y = sum_j s_j q_j, with
+    the q_j rebuilt by a second run of the recurrence from v."""
+    y = np.zeros_like(v)
+    for coef, (q, _, _) in zip(s, _lanczos(graph, v)):
+        y += coef * q
+    ay = graph.apply_adjacency(y)
+    ay -= ay.mean()
+    ay -= theta * y
+    return float(np.linalg.norm(ay) / np.linalg.norm(y))
 
 
 def estimate_gap(
@@ -101,17 +225,25 @@ def estimate_gap(
     tol: float = 1e-8,
     rng: np.random.Generator | None = None,
 ) -> GapEstimate:
-    """Second eigenvalue of the normalized adjacency by power iteration.
+    """Second eigenvalue of the normalized adjacency A by Lanczos.
 
-    Iterates the lazy operator (I + A)/2 (spectrum in [0, 1], so no
-    sign-flipping) with the constant eigenvector removed exactly by mean
-    subtraction each step. Convergence is declared on the relative
-    residual ||A v - lambda v|| / ||v||, which can dip and rise while two
-    eigenvalues fight but decreases geometrically once one wins. A
-    disconnected graph yields lambda1 -> 1 and gap -> 0.
+    Runs the three-term recurrence on A with the constant eigenvector
+    removed by mean subtraction after every product, so the top Ritz value
+    theta of the tridiagonal T_m approaches the largest eigenvalue of A on
+    the mean-zero space, lambda_2 (Paige: without a stored basis). The run
+    stops when the Ritz residual estimate beta_m |s_m| is at most tol, when
+    the Krylov space closes, or after iters steps. A run that says it has
+    converged is checked: a second run from the same start vector rebuilds
+    the Ritz vector y, and residual is the measured ||A y - theta y|| / ||y||.
+    converged holds exactly when that measured residual is at most tol (a
+    tol below the rounding floor of about 1e-15 is measured and missed). An
+    unchecked run reports the estimate. A disconnected graph yields
+    lambda1 = 1 and gap = 0. tol = 0 runs to iters unless the space closes.
     """
     if iters < 1:
-        raise ValueError(f"power iteration needs at least one iteration, got {iters}")
+        raise ValueError(f"Lanczos needs at least one iteration, got {iters}")
+    if not (math.isfinite(tol) and tol >= 0.0):
+        raise ValueError(f"tol must be finite and >= 0, got {tol}")
     if rng is None:
         rng = np.random.default_rng(0)
     num = graph.num_vertices
@@ -123,38 +255,33 @@ def estimate_gap(
     if norm == 0.0:
         raise ValueError("degenerate start vector")
     v /= norm
-    av = graph.apply_adjacency(v)
-    lam = 0.0
+    alpha: list[float] = []
+    beta: list[float] = []
+    theta = -math.inf
     residual = math.inf
-    used = 0
-    trace: list[float] = []
-    for i in range(1, iters + 1):
-        w = 0.5 * (v + av)
-        w -= w.mean()
-        wnorm = np.linalg.norm(w)
-        if wnorm < 1e-300:
-            # A annihilated the deflated space; spectrum is {1} + {-1,...}
-            lam = -1.0
-            residual = 0.0
-            used = i
-            trace.append(residual)
+    converged = False
+    next_check = _CHECK_EVERY
+    for j, (_, a, b) in enumerate(_lanczos(graph, v), start=1):
+        alpha.append(a)
+        beta.append(b)
+        closed = b <= _CLOSED
+        if not (closed or j >= next_check or j == iters):
+            continue
+        theta, s = _top_ritz(alpha, beta[:-1], theta, min(residual, 1.0))
+        residual = b * abs(float(s[-1]))
+        if closed or residual <= tol:
+            residual = _ritz_residual(graph, v, s, theta)
+            converged = residual <= tol
             break
-        w /= wnorm
-        aw = graph.apply_adjacency(w)
-        lam = float(w @ aw)
-        residual = float(np.linalg.norm(aw - lam * w))
-        trace.append(residual)
-        v, av = w, aw
-        used = i
-        if residual <= tol:
+        if j == iters:
             break
+        next_check = j + max(_CHECK_EVERY, j // 10)
     return GapEstimate(
-        lambda1=lam,
-        gap=1.0 - lam,
+        lambda1=theta,
+        gap=1.0 - theta,
         residual=residual,
-        iterations=used,
-        converged=residual <= tol,
-        residual_trace=tuple(trace),
+        iterations=len(alpha),
+        converged=converged,
     )
 
 

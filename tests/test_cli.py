@@ -136,6 +136,9 @@ def test_usage_errors_exit_2(capsys):
     assert dispatch(["mix-exact", "--n", "4", "--table-max", "-1"]) == 2
     assert dispatch(["mix-exact", "--n", "4", "--cap", "-1"]) == 2
     assert dispatch(["schreier-gap", "--n", "6", "--max-iters", "0"]) == 2
+    # a nan or negative tol can never be met; nan is not valid JSON either
+    assert dispatch(["schreier-gap", "--n", "8", "--ell", "2", "--tol", "nan"]) == 2
+    assert dispatch(["schreier-gap", "--n", "8", "--ell", "2", "--tol", "-1"]) == 2
     assert dispatch(["shrink", "--n", "20", "--seed", "0", "--budget-c", "-1"]) == 2
     # the l2 threshold eps/|G| is unreachable for eps <= 0
     mix = ["mix-exact", "--n", "4", "--group", "alt", "--walk", "3cycles", "--cap", "3000"]
@@ -281,6 +284,8 @@ def test_schreier_payload(capsys):
     assert p["num_vertices"] == 56
     assert 0 <= p["gap"] <= 2
     assert p["iterations"] >= 1
+    assert p["converged"] is True
+    assert p["residual"] <= 1e-8
 
 
 def sweep_rows(capsys, cfg, tmp_path, name="cfg.json"):

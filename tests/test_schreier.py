@@ -1,4 +1,4 @@
-"""Tuple-action Schreier graphs and the power-iteration gap estimator.
+"""Tuple-action Schreier graphs and the Lanczos gap estimator.
 Oracle: dense eigensolve of the same normalized adjacency."""
 
 import itertools
@@ -16,7 +16,8 @@ from permword import (
     evaluate,
     random_uniform,
 )
-from permword.schreier import _conditioned_walk_counted
+from permword.schreier import _conditioned_walk_counted, _top_ritz
+from permword.synth import _orbit_sizes
 
 from conftest import seeded_pair
 
@@ -95,8 +96,8 @@ def test_tuple_graph_rejects_oversize_and_bad_ell():
 
 @pytest.mark.parametrize("ell", [1, 2, 3])
 def test_estimate_gap_matches_dense_eigensolve(ell):
-    # the estimator powers the lazy operator (I+A)/2 but reports the second
-    # eigenvalue of A itself, so the dense oracle reads off eigvalsh(A)
+    # the estimator reports the top eigenvalue of A on the mean-zero space,
+    # the second of A itself, so the dense oracle reads off eigvalsh(A)
     graph, _, _ = small_graph(6, ell, seed=9)
     A = graph.dense_adjacency()
     eigs = np.sort(np.linalg.eigvalsh(A))[::-1]
@@ -107,13 +108,84 @@ def test_estimate_gap_matches_dense_eigensolve(ell):
 
 def test_estimate_fields_consistent():
     graph, _, _ = small_graph(6, 2, seed=9)
-    est = estimate_gap(graph, rng=np.random.default_rng(3))
-    assert 0.0 <= est.lambda1 <= 1.0
-    assert est.residual_trace
-    assert est.residual == est.residual_trace[-1]
-    assert est.iterations >= len(est.residual_trace)
-    if est.converged:
-        assert est.residual <= 1e-8
+    for tol in (1e-8, 1e-14, 0.0):
+        est = estimate_gap(graph, tol=tol, rng=np.random.default_rng(3))
+        assert 0.0 <= est.lambda1 <= 1.0
+        assert est.gap == 1.0 - est.lambda1
+        assert 1 <= est.iterations <= 4000
+        assert est.converged == (est.residual <= tol)
+
+
+@pytest.mark.parametrize("n", [6, 7])
+@pytest.mark.parametrize("ell", [1, 2, 3])
+def test_estimate_gap_dense_population(n, ell):
+    # a Ritz value never exceeds lambda_2; a converged one is within 1e-9
+    for seed in range(6):
+        g, h, _ = seeded_pair(n, seed)
+        graph = TupleGraph(g, h, ell)
+        lam2 = np.sort(np.linalg.eigvalsh(graph.dense_adjacency()))[-2]
+        est = estimate_gap(graph, rng=np.random.default_rng(seed))
+        assert est.lambda1 <= lam2 + 1e-12
+        assert est.converged
+        assert abs(est.lambda1 - lam2) < 1e-9
+
+
+def test_estimate_gap_disconnected_graphs_give_gap_zero():
+    ident = Permutation.identity(8)
+    g, h, _ = seeded_pair(16, 0)  # orbits of sizes 15 and 1
+    assert _orbit_sizes(g, h) == [15, 1]
+    for graph in (TupleGraph(ident, ident, 2), TupleGraph(g, h, 2), TupleGraph(g, h, 3)):
+        est = estimate_gap(graph, rng=np.random.default_rng(0))
+        assert est.converged
+        assert abs(est.lambda1 - 1.0) < 1e-12
+        assert abs(est.gap) < 1e-12
+
+
+def test_estimate_gap_tol_zero_runs_to_iters():
+    # 1320 vertices: the Krylov space cannot close in 150 steps
+    g, h, _ = seeded_pair(12, 0)
+    est = estimate_gap(TupleGraph(g, h, 3), iters=150, tol=0.0)
+    assert est.iterations == 150
+    assert not est.converged
+    ident = Permutation.identity(6)
+    closed = estimate_gap(TupleGraph(ident, ident, 2), iters=150, tol=0.0)
+    assert closed.iterations == 1
+    assert closed.lambda1 == pytest.approx(1.0, abs=1e-12)
+
+
+def test_estimate_gap_reports_the_measured_residual():
+    # the Ritz estimate falls below 1e-16, the measured residual stays at the
+    # rounding floor: the run stops at that check, unconverged, and reports
+    # the measurement
+    g, h, _ = seeded_pair(12, 0)
+    est = estimate_gap(TupleGraph(g, h, 3), tol=1e-16, rng=np.random.default_rng(0))
+    assert est.iterations < 4000
+    assert not est.converged
+    assert 1e-16 < est.residual < 1e-13
+
+
+@pytest.mark.parametrize("m", [1, 2, 7, 60, 400])
+def test_top_ritz_matches_dense_tridiagonal(m):
+    # the O(m) sweeps against eigh of the same tridiagonal, from no lower
+    # bound and from the top of the leading block, as successive checks use
+    rng = np.random.default_rng(m)
+    alpha = rng.uniform(-1.0, 1.0, m).tolist()
+    beta = rng.uniform(0.01, 0.5, m - 1).tolist()
+    T = np.diag(alpha) + np.diag(beta, 1) + np.diag(beta, -1)
+    vals, vecs = np.linalg.eigh(T)
+    k = max(1, m // 2)
+    lead, _ = _top_ritz(alpha[:k], beta[: k - 1], -np.inf, 1.0)
+    for lower, width in ((-np.inf, 1.0), (lead, 1e-3)):
+        theta, s = _top_ritz(alpha, beta, lower, width)
+        assert abs(theta - vals[-1]) < 1e-12
+        assert abs(abs(s @ vecs[:, -1]) - 1.0) < 1e-9
+
+
+@pytest.mark.parametrize("tol", [float("nan"), -1.0, float("inf")])
+def test_estimate_gap_rejects_bad_tol(tol):
+    graph, _, _ = small_graph(6, 2)
+    with pytest.raises(ValueError):
+        estimate_gap(graph, tol=tol)
 
 
 def test_estimate_gap_seed_stable():
