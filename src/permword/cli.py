@@ -99,10 +99,7 @@ def run_gap_exact(args) -> dict:
 def run_gap_brute(args) -> dict:
     eig = repgap.cayley_spectrum_bruteforce(args.n)
     vals = repgap.distinct_values(eig)
-    ratios = sorted(
-        {repgap.char_ratio_3cycle(lam) for lam in repgap.partitions(args.n)},
-        reverse=True,
-    )
+    ratios = sorted({r for _, r in repgap.gap_table(args.n)}, reverse=True)
     diff = None
     if len(vals) == len(ratios):
         diff = max(abs(v - float(r)) for v, r in zip(vals, ratios))
@@ -322,7 +319,11 @@ def build_parser() -> argparse.ArgumentParser:
                         help="write the RunRecord here instead of stdout")
         return sp
 
-    sp = add("gap-exact", help="exact 3-cycle walk gap on Alt(n) from character ratios")
+    sp = add(
+        "gap-exact",
+        help="exact 3-cycle walk gap on Alt(n) from character ratios, "
+        f"n <= {repgap.MAX_EXACT_GAP_DEGREE}",
+    )
     sp.add_argument("--n", type=int, required=True)
 
     sp = add("gap-brute", help="dense Cayley spectrum vs character ratios, n <= 6")

@@ -9,10 +9,22 @@ function of the shifted parts) fixes the ratio through
 
 Within fixed n the map M3 -> ratio is affine increasing, so all ordering
 work happens in exact integers and results are returned as Fractions.
+
+`partitions(n)` is a table of every partition of n with its M3, built by
+numpy one row at a time. Row j holds every prefix of j parts, all >= 2,
+with an int32 pointer to its parent in row j-1 and its j-th part; each such
+prefix, padded with ones, is exactly one partition. M3 is accumulated row
+by row, each part adding its summand to the parent's sum, and the trailing
+ones add a prefix sum read from a table. The result lands in an int64
+column at the partition's reverse-lexicographic position, counted from the
+number of partitions under the node's earlier siblings. Tuples are built
+only when the table is indexed or iterated.
 """
 
 from __future__ import annotations
 
+import operator
+from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -22,25 +34,136 @@ from . import walk as walk_mod
 from .errors import InvariantError
 from .perm import Permutation
 
+# p(75) is about 8.1e6: its table takes about 0.8 s and 240 MB. p(100) is
+# about 1.9e8. Parts are stored as int8.
+MAX_EXACT_GAP_DEGREE = 75
 
-def partitions(n: int) -> list[tuple[int, ...]]:
+
+class PartitionTable(Sequence):
+    """Read-only sequence of the partitions of n in reverse lexicographic
+    order ((n,) first, (1,)*n last), with their M3 in the int64 column `m3`.
+
+    Row j of the table holds the prefixes of j parts, all >= 2, of the
+    partitions of n; each node keeps its parent's index in row j-1 and its
+    j-th part. A node stands for one partition, itself padded with ones.
+    `len` reads the column. Indexing one position walks the parent pointers
+    up; iteration builds every tuple row by row, carrying prefixes, and
+    keeps the list for later indexing.
+    """
+
+    def __init__(self, n, m3_column, parents, parts, leaf_at):
+        self.n = n
+        self.m3 = m3_column
+        self._parents = parents  # parents[j-1]: row-j node -> row-(j-1) node
+        self._parts = parts  # parts[j-1]: row-j node -> its j-th part
+        self._leaf_at = leaf_at  # leaf_at[j]: row-j node -> position, increasing
+        self._tuples: list[tuple[int, ...]] | None = None
+
+    def __len__(self) -> int:
+        return len(self.m3)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice) or self._tuples is not None:
+            return self._all()[i]
+        i = operator.index(i)
+        if not -len(self) <= i < len(self):
+            raise IndexError("partition index out of range")
+        i %= len(self)
+        for row, at in enumerate(self._leaf_at):
+            col = int(np.searchsorted(at, i))
+            if col < at.size and at[col] == i:
+                break
+        lam = []
+        for r in range(row, 0, -1):
+            lam.append(int(self._parts[r - 1][col]))
+            col = int(self._parents[r - 1][col])
+        lam.reverse()
+        return tuple(lam) + (1,) * (self.n - sum(lam))
+
+    def __iter__(self):
+        return iter(self._all())
+
+    def _all(self) -> list[tuple[int, ...]]:
+        if self._tuples is None:
+            out: list[tuple[int, ...]] = [()] * len(self)
+            single = [(d,) for d in range(self.n + 1)]
+            ones = [(1,) * r for r in range(self.n + 1)]
+            prefixes = [()]
+            remaining = np.array([self.n])
+            for row, at in enumerate(self._leaf_at):
+                if row:
+                    parent, part = self._parents[row - 1], self._parts[row - 1]
+                    prefixes = [
+                        prefixes[p] + single[d]
+                        for p, d in zip(parent.tolist(), part.tolist())
+                    ]
+                    remaining = remaining[parent] - part
+                for pos, prefix, r in zip(at.tolist(), prefixes, remaining.tolist()):
+                    out[pos] = prefix + ones[r]
+            self._tuples = out
+        return self._tuples
+
+
+def _restricted_counts(n: int) -> np.ndarray:
+    """P[r, c] = number of partitions of r into parts <= c, so P[n, n] = p(n)."""
+    P = [[1] * (n + 1)] + [[0] * (n + 1) for _ in range(n)]
+    for r in range(1, n + 1):
+        for c in range(1, n + 1):
+            P[r][c] = P[r][c - 1] + (P[r - c][c] if c <= r else 0)
+    return np.array(P, dtype=np.int64)
+
+
+def _summand(j, part):
+    """Term of part `part` at 1-based index j in the sum that defines M3."""
+    d = part - j
+    return d * (d + 1) * (2 * d + 1) + j * (j - 1) * (2 * j - 1)
+
+
+def partitions(n: int) -> PartitionTable:
     """All partitions of n, parts descending, in reverse lexicographic order
-    (so (n,) is first and (1,)*n is last)."""
+    (so (n,) is first and (1,)*n is last), as a `PartitionTable`."""
     if n < 0:
         raise ValueError("n must be non-negative")
-    if n == 0:
-        return [()]
-    out: list[tuple[int, ...]] = []
-
-    def rec(remaining: int, max_part: int, prefix: tuple[int, ...]):
-        if remaining == 0:
-            out.append(prefix)
-            return
-        for part in range(min(remaining, max_part), 0, -1):
-            rec(remaining - part, part, prefix + (part,))
-
-    rec(n, n, ())
-    return out
+    if n > MAX_EXACT_GAP_DEGREE:
+        raise ValueError(f"partition tables are capped at n <= {MAX_EXACT_GAP_DEGREE}")
+    stride = n + 1
+    counts = _restricted_counts(n).ravel()  # counts[r * stride + c] = P[r, c]
+    index = np.arange(stride, dtype=np.int64)
+    # ones_m3[k]: M3 of k trailing ones placed at indices 1..k
+    ones_m3 = np.cumsum(np.where(index > 0, _summand(index, 1), 0))
+    m3_column = np.empty(int(counts[-1]), dtype=np.int64)
+    parents: list[np.ndarray] = []
+    parts: list[np.ndarray] = []
+    leaf_at: list[np.ndarray] = []
+    # row j, starting from the empty prefix: for each node the sum still to
+    # place, the cap on its next part, M3 of its parts and the position of
+    # the first leaf below it
+    remaining = np.full(1, n, dtype=np.int32)
+    cap = remaining
+    acc = np.zeros(1, dtype=np.int64)
+    first = np.zeros(1, dtype=np.int64)
+    for j in range(n // 2 + 1):
+        width = np.minimum(remaining, cap)
+        below = counts[remaining * stride + width]  # leaves under each node
+        # the node padded with ones is the last leaf under it
+        at = first + below - 1
+        m3_column[at] = acc + ones_m3[j + remaining] - ones_m3[j]
+        leaf_at.append(at)
+        # children take parts width down to 2; the earlier siblings of a
+        # child hold the partitions of remaining whose first part is larger
+        fan = np.maximum(width - 1, 0)
+        end = np.cumsum(fan, dtype=np.int32)
+        if not end[-1]:
+            break
+        part = np.repeat(end + 1, fan) - np.arange(end[-1], dtype=np.int32)
+        parents.append(np.repeat(np.arange(fan.size, dtype=np.int32), fan))
+        parts.append(part.astype(np.int8))
+        rem_parent = np.repeat(remaining, fan)
+        acc = np.repeat(acc, fan) + _summand(j + 1, index)[part]
+        first = np.repeat(first + below, fan) - counts[rem_parent * stride + part]
+        remaining = rem_parent - part
+        cap = part
+    return PartitionTable(n, m3_column, parents, parts, leaf_at)
 
 
 def is_partition(lam: tuple[int, ...]) -> bool:
@@ -59,11 +182,7 @@ def m3(lam: tuple[int, ...]) -> int:
     + j (j-1) (2j - 1)], j running 1-based over the parts."""
     if not is_partition(lam):
         raise ValueError(f"not a partition: {lam}")
-    total = 0
-    for j, part in enumerate(lam, start=1):
-        d = part - j
-        total += d * (d + 1) * (2 * part - 2 * j + 1) + j * (j - 1) * (2 * j - 1)
-    return total
+    return sum(_summand(j, part) for j, part in enumerate(lam, start=1))
 
 
 def char_ratio_3cycle(lam: tuple[int, ...]) -> Fraction:
@@ -71,7 +190,11 @@ def char_ratio_3cycle(lam: tuple[int, ...]) -> Fraction:
     n = sum(lam)
     if n < 3:
         raise ValueError("3-cycles need n >= 3")
-    return Fraction(m3(lam), 2 * n * (n - 1) * (n - 2)) - Fraction(3, 2 * (n - 2))
+    return _ratio(n, m3(lam))
+
+
+def _ratio(n: int, m3_value: int) -> Fraction:
+    return Fraction(m3_value, 2 * n * (n - 1) * (n - 2)) - Fraction(3, 2 * (n - 2))
 
 
 def switch_move(
@@ -120,27 +243,25 @@ def spectral_gap_exact(n: int) -> GapExact:
     On the alternating group the sign twist is invisible (3-cycles are
     even), so conjugate partitions give equal ratios and only (n) and
     (1^n) carry the trivial eigenvalue 1. The maximum over the rest is
-    found by comparing integer M3 values.
+    taken over the table's integer M3 column, and tuples are built only
+    for the partitions that attain it.
     """
     if n < 3:
         raise ValueError("n >= 3 required")
-    best_m3 = None
-    attaining: list[tuple[int, ...]] = []
-    for lam in partitions(n):
-        if lam == (n,) or lam == (1,) * n:
-            continue
-        value = m3(lam)
-        if best_m3 is None or value > best_m3:
-            best_m3, attaining = value, [lam]
-        elif value == best_m3:
-            attaining.append(lam)
-    second = Fraction(best_m3, 2 * n * (n - 1) * (n - 2)) - Fraction(3, 2 * (n - 2))
-    return GapExact(n, 1 - second, second, tuple(attaining))
+    table = partitions(n)
+    inner = table.m3[1:-1]  # drop (n) first and (1^n) last
+    best = int(inner.max())
+    attaining = tuple(table[i] for i in (np.flatnonzero(inner == best) + 1).tolist())
+    second = _ratio(n, best)
+    return GapExact(n, 1 - second, second, attaining)
 
 
 def gap_table(n: int) -> list[tuple[tuple[int, ...], Fraction]]:
     """(partition, ratio) for every partition of n, reverse-lex order."""
-    return [(lam, char_ratio_3cycle(lam)) for lam in partitions(n)]
+    if n < 3:
+        raise ValueError("3-cycles need n >= 3")
+    table = partitions(n)
+    return [(lam, _ratio(n, v)) for lam, v in zip(table, table.m3.tolist())]
 
 
 # -- brute-force oracles ------------------------------------------------------------

@@ -131,6 +131,7 @@ def test_usage_errors_exit_2(capsys):
     assert dispatch([]) == 2
     assert dispatch(["no-such-command"]) == 2
     assert dispatch(["gap-exact"]) == 2  # missing --n
+    assert dispatch(["gap-exact", "--n", "76"]) == 2  # over MAX_EXACT_GAP_DEGREE
     assert dispatch(["shrink", "--n", "10", "--seed", "0"]) == 2  # infeasible degree
     assert dispatch(["mix-exact", "--n", "4", "--group", "sym"]) == 2  # parity
     assert dispatch(["mix-exact", "--n", "4", "--table-max", "-1"]) == 2

@@ -1,7 +1,10 @@
 """Partition arithmetic and exact gaps. The character-ratio oracle is an
 independent Murnaghan-Nakayama recursion over beta numbers; the closed-form
-ratio must agree with it on every partition up to n = 9."""
+ratio must agree with it on every partition up to n = 9. The partition
+table is checked against a recursive enumeration and Euler's pentagonal
+recurrence."""
 
+from collections.abc import Sequence
 from fractions import Fraction
 
 import numpy as np
@@ -17,6 +20,7 @@ from permword import (
 from permword import walk
 from permword.errors import InvariantError
 from permword.repgap import (
+    MAX_EXACT_GAP_DEGREE,
     conjugate_partition,
     distinct_values,
     gap_table,
@@ -55,6 +59,36 @@ def mn_ratio_3cycle(lam):
     return Fraction(mn_char(lam, rho3), mn_char(lam, rho1))
 
 
+def partitions_recursive(n):
+    """Reverse-lex partitions of n by depth-first recursion, one tuple per
+    prefix."""
+    out = []
+
+    def rec(remaining, max_part, prefix):
+        if remaining == 0:
+            out.append(prefix)
+            return
+        for part in range(min(remaining, max_part), 0, -1):
+            rec(remaining - part, part, prefix + (part,))
+
+    rec(n, n, ())
+    return out
+
+
+def pentagonal_counts(n_max):
+    """p(0..n_max) from Euler's pentagonal number recurrence."""
+    p = [1] + [0] * n_max
+    for n in range(1, n_max + 1):
+        k = 1
+        while k * (3 * k - 1) // 2 <= n:
+            sign = 1 if k % 2 else -1
+            for g in (k * (3 * k - 1) // 2, k * (3 * k + 1) // 2):
+                if g <= n:
+                    p[n] += sign * p[n - g]
+            k += 1
+    return p
+
+
 PARTITION_COUNTS = {1: 1, 2: 2, 3: 3, 4: 5, 5: 7, 6: 11, 7: 15, 8: 22, 9: 30}
 
 
@@ -65,6 +99,51 @@ def test_partition_enumeration():
         assert len(set(parts)) == count
         assert all(sum(lam) == n for lam in parts)
         assert all(all(a >= b for a, b in zip(lam, lam[1:])) for lam in parts)
+
+
+def test_partition_table_matches_recursion_and_m3():
+    for n in range(31):
+        table = partitions(n)
+        want = partitions_recursive(n)
+        assert list(table) == want, n
+        assert table.m3.dtype == np.int64
+        assert table.m3.tolist() == [m3(lam) for lam in want], n
+    # single positions walk the parent pointers, not the tuple list
+    for n in (0, 1, 7, 18):
+        table = partitions(n)
+        assert [table[i] for i in range(len(table))] == partitions_recursive(n)
+        assert table._tuples is None
+
+
+def test_partition_table_len_is_pentagonal_count():
+    p = pentagonal_counts(60)
+    for n in range(61):
+        table = partitions(n)
+        assert len(table) == p[n], n
+        assert table._tuples is None  # len builds no tuple
+    assert p[50] == 204_226
+
+
+def test_partition_table_is_a_read_only_sequence():
+    table = partitions(6)
+    assert isinstance(table, Sequence)
+    assert table[0] == (6,) and table[-1] == (1,) * 6
+    assert table[1:3] == [(5, 1), (4, 2)]
+    assert (3, 2, 1) in table and table.index((3, 2, 1)) == 5
+    with pytest.raises(IndexError):
+        table[len(table)]
+    with pytest.raises(TypeError):
+        table[1.0]
+    with pytest.raises(TypeError):
+        table[0] = (6,)
+
+
+def test_partitions_reject_bad_degrees():
+    with pytest.raises(ValueError):
+        partitions(-1)
+    # refused before anything is allocated
+    with pytest.raises(ValueError, match="n <= 75"):
+        partitions(MAX_EXACT_GAP_DEGREE + 1)
 
 
 def test_conjugate_partition_involution():
@@ -109,10 +188,19 @@ def test_spectral_gap_exact_value_and_attainers(n):
         assert char_ratio_3cycle(lam) < res.second_eigenvalue
 
 
+@pytest.mark.parametrize("n", [50, 60])
+def test_spectral_gap_exact_large_degrees(n):
+    res = spectral_gap_exact(n)
+    assert res.gap == Fraction(3, n - 1)
+    assert res.second_eigenvalue == 1 - Fraction(3, n - 1)
+    assert res.attaining == ((n - 1, 1), (2,) + (1,) * (n - 2))
+
+
 def test_gap_table_covers_all_partitions():
     table = gap_table(6)
     assert table[0] == ((6,), Fraction(1))
-    assert [lam for lam, _ in table] == partitions(6)
+    assert [lam for lam, _ in table] == list(partitions(6))
+    assert [r for _, r in table] == [char_ratio_3cycle(lam) for lam in partitions(6)]
     assert max(r for _, r in table if r != 1) == 1 - spectral_gap_exact(6).gap
 
 
