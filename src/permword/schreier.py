@@ -1,10 +1,10 @@
-"""Schreier graphs on injective tuples, gap estimation, conditioned walks.
+"""Schreier graphs on injective tuples, gap estimation, conditioned conjugators.
 
 The graph's vertices are the injective ell-tuples over {1..n}; the edge
 multiset at x is {x^g, x^(g^-1), x^h, x^(h^-1)} acting coordinatewise, kept
 as a 4-row neighbor table that the Lanczos eigenvalue estimator works off
-through the kernel backend. The constrained walk sampler pushes the
-constrained points through the pair's walk.StepTable instead.
+through the kernel backend. A breadth-first tree on ordered pairs of points
+builds the shrink's conjugators and certifies that the pair is 2-transitive.
 """
 
 from __future__ import annotations
@@ -18,19 +18,12 @@ from typing import Sequence
 import numpy as np
 
 from . import kernels
-from .errors import RetryExhaustedError
+from .errors import InvariantError
 from .perm import Permutation
-from .walk import STAY, StepTable, gather_matrix, lex_codes, lex_lookup
+from .walk import STAY, StepTable, gather_matrix, lazy_step_codes, lex_codes, lex_lookup
 from .word import Word
 
 MAX_VERTICES = 5_000_000
-
-
-@functools.lru_cache(maxsize=1)
-def _pair_steps(g: Permutation, h: Permutation) -> StepTable:
-    """One step table for the conditioned walks of a pair, so the words of a
-    shrink share their Inv(g), Inv(h) nodes (node_count counts them once)."""
-    return StepTable.of(g, h)
 
 
 class TupleGraph:
@@ -285,26 +278,57 @@ def estimate_gap(
     )
 
 
-# -- conditioned lazy walks -------------------------------------------------------
-
-_BATCH = 1024
+# -- conjugators from a tree on ordered pairs ------------------------------------
 
 
-def _validate_constraints(
-    n: int, constraints: Sequence[tuple[int, int]]
-) -> tuple[np.ndarray, np.ndarray]:
-    sources = [c[0] for c in constraints]
-    targets = [c[1] for c in constraints]
-    for x in sources + targets:
-        if not 1 <= x <= n:
-            raise ValueError(f"constraint point {x} out of range 1..{n}")
-    if len(set(sources)) != len(sources):
-        raise ValueError("constraint sources must be distinct")
-    if len(set(targets)) != len(targets):
-        raise ValueError("constraint targets must be distinct")
-    src = np.array([x - 1 for x in sources], dtype=np.int32)
-    tgt = np.array([x - 1 for x in targets], dtype=np.int32)
-    return src, tgt
+@dataclass(frozen=True, eq=False)
+class PairTree:
+    """Breadth-first tree of <g, h> on ordered pairs of distinct points from
+    (1, 2): codes[a, b] is the step reaching 0-based (a, b), STAY at the root."""
+
+    steps: StepTable
+    codes: np.ndarray
+    depth: int  # the deepest level, so no path to the root is longer
+
+    def path_to_root(self, a: int, b: int) -> list[int]:
+        """Step codes moving the 0-based pair (a, b) up to the root (at most depth)."""
+        back: list[int] = []
+        while len(back) < self.depth and (c := int(self.codes[a, b])) != STAY:
+            back.append(c ^ 1)  # the inverse step: g <-> g^-1, h <-> h^-1
+            a, b = self.steps.images[c ^ 1, [a, b]]
+        return back
+
+
+@functools.lru_cache(maxsize=1)
+def pair_tree(g: Permutation, h: Permutation) -> PairTree:
+    """The pair's tree on ordered pairs; ValueError unless it reaches all
+    n(n-1), that is unless <g, h> is 2-transitive, as Alt(n) (n >= 4) and
+    Sym(n) are. Cached, so a shrink's words share their Inv(g), Inv(h) nodes."""
+    steps, n = StepTable.of(g, h), g.degree
+    if n < 2:
+        raise ValueError("ordered pairs of distinct points need n >= 2")
+    images = steps.images.astype(np.intp)
+    flat = np.full(n * n, -1, dtype=np.int8)  # codes of pair (a, b) at a * n + b
+    flat[1] = STAY
+    frontier, depth = np.array([1]), -1
+    while frontier.size:
+        depth += 1
+        a, b = np.divmod(frontier, n)
+        level = []
+        for c in range(STAY):
+            x = images[c, a] * n + images[c, b]
+            x = x[flat[x] < 0]  # a step permutes the pairs, so x has no repeats
+            flat[x] = c
+            level.append(x)
+        frontier = np.concatenate(level)
+    reached = int(np.count_nonzero(flat >= 0))
+    if reached < n * (n - 1):
+        raise ValueError(
+            f"<g, h> is not 2-transitive, so generates neither Alt({n}) nor Sym({n}): "
+            f"its tree reaches {reached} of the {n * (n - 1)} ordered pairs"
+        )
+    flat.setflags(write=False)
+    return PairTree(steps, flat.reshape(n, n), depth)
 
 
 def _conditioned_walk_counted(
@@ -314,42 +338,27 @@ def _conditioned_walk_counted(
     constraints: Sequence[tuple[int, int]],
     rng: np.random.Generator,
 ) -> tuple[Permutation, Word, int]:
-    """Rejection-sample a lazy k-step walk hitting all (source -> target)
-    constraints; returns (permutation, word, trials used). Raises
-    RetryExhaustedError after 20 n^2 trials.
-
-    Each step is the identity with probability 1/2, else one of g, g^-1,
-    h, h^-1 with probability 1/8 each. Only the constrained points are
-    tracked during rejection; the full permutation is materialized once,
-    for the accepted trial. Trials consume the rng stream in a fixed
-    order, so results do not depend on the internal batch size.
-    """
-    if g.degree != h.degree:
-        raise ValueError("generator degree mismatch")
+    """(sigma, word, 1): one draw of a sigma meeting exactly two constraints
+    (y1 -> t1, y2 -> t2). sigma is one row of step codes, a lazy k-step walk
+    rho, the tree path from (y1, y2)^rho up to the root and the one down to
+    (t1, t2): at most k + 2 * depth symbols, meeting both constraints by
+    construction (InvariantError if not). ValueError for a pair that is not
+    2-transitive."""
     n = g.degree
-    if k < 1:
-        raise ValueError("walk length must be >= 1")
-    max_tries = 20 * n * n
-    src, tgt = _validate_constraints(n, constraints)
-    steps = _pair_steps(g, h)
-    done = 0
-    while done < max_tries:
-        batch = min(_BATCH, max_tries - done)
-        # draw codes 0..7; 0..3 pick a generator row, 4..7 all mean "stay"
-        codes = np.minimum(rng.integers(0, 8, size=(batch, k), dtype=np.int64), STAY)
-        if src.size:
-            finals = kernels.track_points(steps.images, codes, src)
-            hits = np.nonzero((finals == tgt).all(axis=1))[0]
-        else:
-            hits = np.array([0])
-        if hits.size:
-            row = int(hits[0])
-            sigma, word = steps.materialize(codes[row])
-            return sigma, word, done + row + 1
-        done += batch
-    raise RetryExhaustedError(
-        f"no walk satisfied {list(constraints)} within {max_tries} trials"
-    )
+    if len(constraints) != 2:
+        raise ValueError(f"need exactly two constraints, got {len(constraints)}")
+    (y1, t1), (y2, t2) = constraints
+    if not (all(1 <= x <= n for x in (y1, t1, y2, t2)) and y1 != y2 and t1 != t2):
+        raise ValueError(f"{list(constraints)}: need distinct sources, distinct targets in 1..{n}")
+    tree = pair_tree(g, h)
+    rho = lazy_step_codes(k, rng, 1)[0]
+    u = kernels.track_points(tree.steps.images, rho[None, :], np.array([y1, y2]) - 1)[0]
+    down = [c ^ 1 for c in reversed(tree.path_to_root(t1 - 1, t2 - 1))]
+    row = np.concatenate([rho, np.array(tree.path_to_root(*u) + down, dtype=np.int8)])
+    sigma, word = tree.steps.materialize(row)
+    if sigma.apply(y1) != t1 or sigma.apply(y2) != t2:
+        raise InvariantError(f"conjugator misses its constraints {list(constraints)}")
+    return sigma, word, 1
 
 
 def conditioned_walk(

@@ -4,10 +4,11 @@ permutation moves at most 3 points.
 The pipeline has two stages. First, a scan over low powers of the
 generators finds an element v containing a cycle of length l >= 3n/4
 with v^l != e; then s0 = v^l is a non-identity word of support at most
-n - l. Second, repeated commutator steps s -> [s, s^sigma] against
-conditioned lazy-walk conjugators sigma shrink the support geometrically
-until it is at most 3. Every intermediate element carries its word, so
-the result is verifiable by evaluation.
+n - l. Second, repeated commutator steps s -> [s, s^sigma] shrink the
+support geometrically until it is at most 3; each sigma is a lazy walk led
+through the pair's tree on ordered pairs to meet two point constraints.
+Every intermediate element carries its word, so the result is verifiable
+by evaluation.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ import numpy as np
 
 from .errors import BudgetExceededError, InvariantError, RetryExhaustedError
 from .perm import Permutation
-from .schreier import _conditioned_walk_counted
+from .schreier import _conditioned_walk_counted, pair_tree
 from .walk import StepTable
 from .word import GEN_G, GEN_H, Cat, Pow, Word, WordElement, expanded_length
 
@@ -174,8 +175,8 @@ def _commutator_step_counted(
 ) -> tuple[WordElement, int]:
     """One shrink step: replace s by [s, s^sigma] for a conditioned sigma.
 
-    sigma comes from a length-k lazy walk conditioned on two point
-    constraints: one target inside supp(s) chosen so the commutator is
+    sigma is a length-k lazy walk led through the pair's tree to meet two
+    point constraints: one target inside supp(s) chosen so the commutator is
     never the identity, one source outside so sigma does not simply
     normalize supp(s). Let X = |supp(s) & supp(s)^sigma|; the result
     moves at most 3X points, and X = 1 gives a support-3 element
@@ -184,9 +185,10 @@ def _commutator_step_counted(
     Acceptance: X = 1 is taken immediately; for the first X_ONE_SCAN
     draws we keep the best (X, support) seen, then settle for any draw
     with X below the rejection threshold 2(1 + (7/6)|S|^2/n) that also
-    makes progress (support must strictly drop once |S| > 24). Raises
-    RetryExhaustedError after SIGMA_BUDGET draws, and InvariantError if
-    a result breaks the non-identity or 3X guarantee.
+    makes progress (support must strictly drop once |S| > 24). Returns
+    the result and its sigma draws. Raises RetryExhaustedError after
+    SIGMA_BUDGET draws, and InvariantError if a result breaks the
+    non-identity or 3X guarantee.
     """
     n = g.degree
     S = s.perm.support()
@@ -210,29 +212,25 @@ def _commutator_step_counted(
         return r, X, supp_r
 
     best: tuple[tuple[int, int], WordElement] | None = None
-    trials = 0
     for t in range(SIGMA_BUDGET):
         y1 = S[rng.integers(size)]
         y1p = S[rng.integers(size)]
         y2 = complement[rng.integers(len(complement))]
         y2p = s.perm.preimage(y1p)
-        sigma_perm, sigma_word, tries = _conditioned_walk_counted(
+        sigma_perm, sigma_word, _ = _conditioned_walk_counted(
             g, h, k, [(y1, y1p), (y2, y2p)], rng
         )
-        trials += tries
         r, X, supp_r = build(WordElement(sigma_word, sigma_perm))
         if X == 1:
-            return r, trials
+            return r, t + 1
         qualifies = X <= threshold and (size <= 24 or supp_r < size)
         if t < X_ONE_SCAN:
             if qualifies and (best is None or (X, supp_r) < best[0]):
                 best = ((X, supp_r), r)
             if t == X_ONE_SCAN - 1 and best is not None:
-                return best[1], trials
+                return best[1], t + 1
         elif qualifies:
-            return r, trials
-    if best is not None:
-        return best[1], trials
+            return r, t + 1
     raise RetryExhaustedError(
         f"no acceptable conjugator in {SIGMA_BUDGET} draws "
         f"(support {size}, threshold {threshold:.1f})"
@@ -257,7 +255,7 @@ class ShrinkResult:
     word: Word
     iterations: int
     support_trace: tuple[int, ...]
-    trial_counts: tuple[int, ...]
+    trial_counts: tuple[int, ...]  # sigma draws per commutator step, 1..SIGMA_BUDGET
     long_cycle: LongCycleElement
 
 
@@ -283,17 +281,18 @@ def shrink_support(
 ) -> ShrinkResult:
     """Produce a word in g, h whose permutation moves at most 3 points.
 
-    Starts from s0 = v^l (v from find_long_cycle_element, which also
-    sets the feasible degrees, n >= 9 with exceptions at small n; its
-    support is at most n - l <= n/4) and iterates commutator steps until
-    the support is at most 3. Iteration count is capped at
+    A pair that is not 2-transitive is a ValueError (schreier.pair_tree); a
+    2-transitive pair is primitive, so its 3-cycle result proves that it
+    contains Alt(n) (Jordan). Starts from s0 = v^l (v from
+    find_long_cycle_element, which also sets the feasible degrees, n >= 9
+    with exceptions at small n; its support is at most n - l <= n/4) and
+    iterates commutator steps until the support is at most 3. Iteration count is capped at
     ceil(4 log2 log2 n) + 4 and the word length at
     budget_coefficient * n * (log2 n)^BUDGET_EXPONENT, s0 included;
     exceeding either raises rather than returning an oversized result.
     A coefficient that is not positive and finite is a ValueError.
     """
-    if g.degree != h.degree:
-        raise ValueError("degree mismatch")
+    pair_tree(g, h)  # also the degree check
     n = g.degree
     budget = word_length_budget(n, budget_coefficient)
     v = find_long_cycle_element(g, h, rng)

@@ -8,8 +8,8 @@ translation tables, which is the compiled-kernel hot path. The same tables
 give the dense transition matrices and subgroup closures of the oracles.
 
 Walks on a generator pair at any degree are rows of step codes pushed
-through one (5, n) step table; synthesis, the shrink's conditioned walks
-and the long-cycle fallback all draw their words this way.
+through one (5, n) step table; synthesis, the shrink's conjugators and
+the long-cycle fallback all draw their words this way.
 """
 
 from __future__ import annotations

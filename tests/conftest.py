@@ -1,6 +1,13 @@
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import permword
 from permword import DenseGroup, Permutation, random_uniform
 from permword.walk import generated_mask
 
@@ -41,3 +48,18 @@ def rng():
 
 def perm_from_cycles(n, *cycles):
     return Permutation.from_cycles(n, list(cycles))
+
+
+def run_python_O(code: str) -> list[str]:
+    """stdout words of `code` run in a python -O child (asserts stripped),
+    with the permword copy this process imported first."""
+    root = str(Path(permword.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [root, os.environ.get("PYTHONPATH")]))
+    out = subprocess.run(
+        [sys.executable, "-O", "-c", textwrap.dedent(code)],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": path},
+    )
+    assert out.returncode == 0, out.stderr
+    return out.stdout.split()

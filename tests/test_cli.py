@@ -105,7 +105,7 @@ PINNED_PAYLOADS = {
     ),
     "compare": (
         ["compare", "--n", "12", "--seed", "1", "--mode", "sample:16"],
-        "9ccf0f4c32b598abc3619d25a010a7efbb24f023",
+        "c7fa814250b7aeb8dbd3c0643ccd96c163ba46ae",
     ),
 }
 

@@ -3,13 +3,8 @@ and the gap/l2 transfer bounds. The distance oracle for BFS words is a plain
 queue BFS that records distances only."""
 
 import math
-import os
-import subprocess
-import sys
-import textwrap
 from collections import deque
 from fractions import Fraction
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -28,14 +23,13 @@ from permword import (
     reference_measure,
     three_cycles,
 )
-import permword
 from permword import compare
 from permword.errors import InvariantError
 from permword.word import GeneratorCounts
 from permword.compare import MAX_BFS_DEGREE, MAX_EXACT_DEGREE, dense_walk_gap
 from permword.walk import Atom, WalkMeasure, generated_mask
 
-from conftest import generated_group, perm_from_cycles, seeded_pair
+from conftest import generated_group, perm_from_cycles, run_python_O, seeded_pair
 
 
 def bfs_distances(g, h):
@@ -130,8 +124,7 @@ def test_A_bound_check_survives_python_O(monkeypatch):
     with pytest.raises(InvariantError):
         compute_A(g, h, None, "exact")
     # python -O strips asserts; the bound check must still run
-    code = textwrap.dedent(
-        """
+    code = """
         from permword import InvariantError, Permutation, compare
         from permword.word import GeneratorCounts
 
@@ -144,17 +137,7 @@ def test_A_bound_check_survives_python_O(monkeypatch):
         except InvariantError:
             print(__debug__, "InvariantError")
         """
-    )
-    root = str(Path(permword.__file__).resolve().parents[1])
-    path = os.pathsep.join(filter(None, [root, os.environ.get("PYTHONPATH")]))
-    out = subprocess.run(
-        [sys.executable, "-O", "-c", code],
-        capture_output=True,
-        text=True,
-        env={**os.environ, "PYTHONPATH": path},
-    )
-    assert out.returncode == 0, out.stderr
-    assert out.stdout.split() == ["False", "InvariantError"]
+    assert run_python_O(code) == ["False", "InvariantError"]
 
 
 def test_compute_A_sampled_is_consistent_with_exact():

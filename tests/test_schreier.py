@@ -1,5 +1,6 @@
-"""Tuple-action Schreier graphs and the Lanczos gap estimator.
-Oracle: dense eigensolve of the same normalized adjacency."""
+"""Tuple-action Schreier graphs and the Lanczos gap estimator (oracle: dense
+eigensolve of the same normalized adjacency), and the tree on ordered pairs
+behind the shrink's conjugators (oracle: a plain BFS over ordered pairs)."""
 
 import itertools
 
@@ -14,12 +15,16 @@ from permword import (
     conditioned_walk,
     estimate_gap,
     evaluate,
+    expanded_length,
+    prepare_context,
     random_uniform,
+    shrink_support,
 )
-from permword.schreier import _conditioned_walk_counted, _top_ritz
+from permword.schreier import _top_ritz, pair_tree
+from permword.shrink import walk_length
 from permword.synth import _orbit_sizes
 
-from conftest import seeded_pair
+from conftest import run_python_O, seeded_pair
 
 
 def small_graph(n=6, ell=2, seed=11):
@@ -204,29 +209,12 @@ def test_conditioned_walk_meets_constraints(rng):
         assert sigma.apply(a) == b
 
 
-def test_conditioned_walk_trial_counts_scale_like_point_probability():
-    # one constraint thins acceptance to roughly 1/n, two to roughly 1/n^2
-    g, h, _ = seeded_pair(10, 1)
-    rng = np.random.default_rng(42)
-    tries_one = []
-    tries_two = []
-    for _ in range(40):
-        _, _, t1 = _conditioned_walk_counted(g, h, 50, [(1, 2)], rng)
-        tries_one.append(t1)
-        _, _, t2 = _conditioned_walk_counted(g, h, 50, [(1, 2), (3, 4)], rng)
-        tries_two.append(t2)
-    assert 2 < np.mean(tries_one) < 40
-    assert np.mean(tries_two) > 1.5 * np.mean(tries_one)
-
-
-def test_conditioned_walk_exhausts_on_impossible_constraint():
-    from permword import RetryExhaustedError
-
+def test_conditioned_walk_rejects_unreachable_constraints():
     g = Permutation.from_cycles(6, [(1, 2, 3)])
     h = Permutation.from_cycles(6, [(2, 3, 4)])
-    # the pair fixes points 5 and 6, so 5 -> 1 is unreachable
-    with pytest.raises(RetryExhaustedError):
-        conditioned_walk(g, h, 20, [(5, 1)], np.random.default_rng(0))
+    # the pair fixes points 5 and 6, so (5, 6) -> (1, 2) is unreachable
+    with pytest.raises(ValueError, match="not 2-transitive"):
+        conditioned_walk(g, h, 20, [(5, 1), (6, 2)], np.random.default_rng(0))
 
 
 def test_conditioned_walk_validates_constraints():
@@ -236,4 +224,119 @@ def test_conditioned_walk_validates_constraints():
     with pytest.raises(ValueError):
         conditioned_walk(g, h, 10, [(1, 2), (3, 2)], rng)
     with pytest.raises(ValueError):
-        conditioned_walk(g, h, 10, [(0, 2)], rng)
+        conditioned_walk(g, h, 10, [(0, 2), (3, 4)], rng)
+    with pytest.raises(ValueError, match="exactly two"):
+        conditioned_walk(g, h, 10, [(1, 2)], rng)
+    with pytest.raises(ValueError, match="exactly two"):
+        conditioned_walk(g, h, 10, [(1, 2), (3, 4), (5, 6)], rng)
+
+
+def _pair_orbit_size(g, h):
+    """Ordered pairs of distinct points reached from (0, 1) by a plain BFS."""
+    n = g.degree
+    gens = [g.images.tolist(), h.images.tolist()]
+    seen = bytearray(n * n)
+    seen[1] = 1
+    todo = [(0, 1)]
+    for a, b in todo:
+        for s in gens:
+            x = s[a] * n + s[b]
+            if not seen[x]:
+                seen[x] = 1
+                todo.append((s[a], s[b]))
+    return len(todo)
+
+
+@pytest.mark.parametrize("n", [9, 20, 60, 300])
+def test_tree_conjugators_meet_constraints_within_tree_length(n):
+    # two random pairs and (1..n), (1 2), whose h is an involution: each
+    # conjugator meets both constraints, evaluates to itself, and spends at
+    # most k walk steps plus a tree path up and one down
+    rng = np.random.default_rng(n)
+    cycle = Permutation.from_cycles(n, [tuple(range(1, n + 1))])
+    pairs = [(cycle, Permutation.transposition(n, 1, 2))]
+    while len(pairs) < 3:
+        g, h = random_uniform(n, rng), random_uniform(n, rng)
+        if _pair_orbit_size(g, h) == n * (n - 1):
+            pairs.append((g, h))
+    k = walk_length(n)
+    for g, h in pairs:
+        depth = pair_tree(g, h).depth
+        for _ in range(20):
+            y1, y2 = rng.choice(n, 2, replace=False) + 1
+            t1, t2 = rng.choice(n, 2, replace=False) + 1
+            sigma, word = conditioned_walk(g, h, k, [(y1, t1), (y2, t2)], rng)
+            assert sigma.apply(y1) == t1 and sigma.apply(y2) == t2
+            assert evaluate(word, g, h) == sigma
+            assert expanded_length(word) <= k + 2 * depth
+
+
+def test_tree_certificate_agrees_with_pair_bfs():
+    # n 9..60 x seeds 0..19: the tree certifies exactly the pairs a plain BFS
+    # finds 2-transitive, and reports the BFS's count otherwise; every
+    # uncertified pair of this population is intransitive
+    certified = intransitive = 0
+    for n in range(9, 61):
+        for seed in range(20):
+            g, h, _ = seeded_pair(n, seed)
+            reached = _pair_orbit_size(g, h)
+            if reached == n * (n - 1):
+                certified += 1
+                pair_tree(g, h)
+                continue
+            with pytest.raises(ValueError, match=f"reaches {reached} of the {n * (n - 1)}"):
+                pair_tree(g, h)
+            assert len(_orbit_sizes(g, h)) > 1
+            intransitive += 1
+    assert (certified, intransitive) == (997, 43)
+
+
+def _two_subset_action():
+    """Sym(5) on its 10 two-point subsets, from (1 2 3 4 5) and (1 2):
+    primitive, but not 2-transitive (disjoint and meeting pairs of subsets
+    are two orbits)."""
+    subsets = list(itertools.combinations(range(5), 2))
+    index = {frozenset(p): i for i, p in enumerate(subsets)}
+
+    def induced(images):
+        return Permutation([index[frozenset(images[x] for x in p)] for p in subsets])
+
+    return induced([1, 2, 3, 4, 0]), induced([1, 0, 2, 3, 4])
+
+
+def _imprimitive_pair(m):
+    """(1..m)(m+1..2m) and (1 m+1): transitive, with blocks {i, i+m}."""
+    n = 2 * m
+    g = Permutation.from_cycles(n, [tuple(range(1, m + 1)), tuple(range(m + 1, n + 1))])
+    return g, Permutation.transposition(n, 1, m + 1)
+
+
+@pytest.mark.parametrize("pair", [_imprimitive_pair(6), _two_subset_action()])
+def test_transitive_pairs_that_are_not_2_transitive_are_value_errors(pair):
+    g, h = pair
+    assert _orbit_sizes(g, h) == [g.degree]
+    for run in (shrink_support, prepare_context):
+        with pytest.raises(ValueError, match="not 2-transitive"):
+            run(g, h, np.random.default_rng(0))
+
+
+def test_conjugator_check_survives_python_O():
+    # python -O strips asserts; a tree whose steps lead elsewhere must
+    # still be caught by the conjugator's constraint check
+    code = """
+        import numpy as np
+        from permword import InvariantError, random_uniform, schreier
+
+        rng = np.random.default_rng(1)
+        g, h = random_uniform(20, rng), random_uniform(20, rng)
+        tree = schreier.pair_tree(g, h)
+        codes = np.where(tree.codes < schreier.STAY, tree.codes ^ 2, tree.codes)
+        bad = schreier.PairTree(tree.steps, codes, tree.depth)
+        schreier.pair_tree = lambda g, h: bad
+        try:
+            schreier.conditioned_walk(g, h, 20, [(1, 2), (3, 4)], rng)
+            print(__debug__, "returned")
+        except InvariantError:
+            print(__debug__, "InvariantError")
+        """
+    assert run_python_O(code) == ["False", "InvariantError"]

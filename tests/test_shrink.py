@@ -1,16 +1,10 @@
 """Support shrinking: long-cycle extraction, commutator steps, budgets."""
 
 import math
-import os
-import subprocess
-import sys
-import textwrap
-from pathlib import Path
 
 import numpy as np
 import pytest
 
-import permword
 from permword import (
     BudgetExceededError,
     Cat,
@@ -27,7 +21,7 @@ from permword import (
 from permword import shrink
 from permword.shrink import commutator_step
 
-from conftest import perm_from_cycles, seeded_pair
+from conftest import perm_from_cycles, run_python_O, seeded_pair
 
 
 def test_long_cycle_element_properties():
@@ -184,8 +178,7 @@ def test_commutator_guarantee_raises_invariant_error(monkeypatch):
 
 def test_commutator_guarantee_survives_python_O():
     # python -O strips asserts; the shrink invariants must still run
-    code = textwrap.dedent(
-        """
+    code = """
         import numpy as np
         from permword import InvariantError, Permutation, random_uniform, shrink
         from permword.word import Cat
@@ -201,18 +194,7 @@ def test_commutator_guarantee_survives_python_O():
         except InvariantError:
             print(__debug__, "InvariantError")
         """
-    )
-    # same environment, with the permword copy this process imported first
-    root = str(Path(permword.__file__).resolve().parents[1])
-    path = os.pathsep.join(filter(None, [root, os.environ.get("PYTHONPATH")]))
-    out = subprocess.run(
-        [sys.executable, "-O", "-c", code],
-        capture_output=True,
-        text=True,
-        env={**os.environ, "PYTHONPATH": path},
-    )
-    assert out.returncode == 0, out.stderr
-    assert out.stdout.split() == ["False", "InvariantError"]
+    assert run_python_O(code) == ["False", "InvariantError"]
 
 
 def test_shrink_is_seed_stable():

@@ -4,17 +4,11 @@ transitivity check, and end-to-end exactness."""
 
 import dataclasses
 import math
-import os
 import re
-import subprocess
-import sys
-import textwrap
-from pathlib import Path
 
 import numpy as np
 import pytest
 
-import permword
 from permword import (
     Cat,
     InvariantError,
@@ -30,7 +24,7 @@ from permword import (
 from permword import RetryExhaustedError, synth
 from permword.synth import CycleLabeling, _preimage_label_rows, build_3cycle
 
-from conftest import seeded_pair
+from conftest import run_python_O, seeded_pair
 
 
 @pytest.fixture(scope="module")
@@ -256,21 +250,6 @@ def test_synthesize_raises_invariant_error_on_wrong_word(ctx20, monkeypatch):
         synthesize(ctx20, Permutation.from_cycles(20, [(1, 2, 3)]))
 
 
-def _run_python_O(code: str) -> list[str]:
-    """stdout words of `code` run in a python -O child (asserts stripped),
-    with the permword copy this process imported first."""
-    root = str(Path(permword.__file__).resolve().parents[1])
-    path = os.pathsep.join(filter(None, [root, os.environ.get("PYTHONPATH")]))
-    out = subprocess.run(
-        [sys.executable, "-O", "-c", textwrap.dedent(code)],
-        capture_output=True,
-        text=True,
-        env={**os.environ, "PYTHONPATH": path},
-    )
-    assert out.returncode == 0, out.stderr
-    return out.stdout.split()
-
-
 def test_synthesize_check_survives_python_O():
     # python -O strips asserts; the final check must still run
     code = """
@@ -288,7 +267,7 @@ def test_synthesize_check_survives_python_O():
         except InvariantError:
             print(__debug__, "InvariantError")
         """
-    assert _run_python_O(code) == ["False", "InvariantError"]
+    assert run_python_O(code) == ["False", "InvariantError"]
 
 
 def test_build_3cycle_raises_on_corrupt_kappa_labels():
@@ -318,4 +297,4 @@ def test_build_3cycle_check_survives_python_O():
         except InvariantError:
             print(__debug__, "InvariantError")
         """
-    assert _run_python_O(code) == ["False", "InvariantError"]
+    assert run_python_O(code) == ["False", "InvariantError"]
