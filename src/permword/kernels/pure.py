@@ -45,7 +45,7 @@ def adjacency_apply(f: np.ndarray, nbrs: np.ndarray) -> np.ndarray:
     """Averaging operator of a regular graph: out[x] = mean_j f[nbrs[j, x]]."""
     f = np.asarray(f, dtype=np.float64)
     nbrs = np.ascontiguousarray(nbrs, dtype=np.int32)
-    out = f[nbrs[0]].copy()
+    out = f[nbrs[0]]  # fancy indexing already copies
     for j in range(1, nbrs.shape[0]):
         out += f[nbrs[j]]
     out *= 1.0 / nbrs.shape[0]

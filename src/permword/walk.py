@@ -7,6 +7,12 @@ the group; one convolution step is a weighted gather through precomputed
 translation tables, which is the compiled-kernel hot path. The same tables
 give the dense transition matrices and subgroup closures of the oracles.
 
+A measure invariant under conjugation by Sym(n), such as a lazy walk on a
+whole conjugacy class, keeps every distribution constant on cycle types.
+Its walk steps a vector over the group's cycle types instead (22 entries
+for Sym(8)) through gather tables built the same way, and yields that
+vector lifted back onto the group.
+
 Walks on a generator pair at any degree are rows of step codes pushed
 through one (5, n) step table; synthesis, the shrink's conjugators and
 the long-cycle fallback all draw their words this way.
@@ -14,6 +20,7 @@ the long-cycle fallback all draw their words this way.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -57,6 +64,28 @@ def _parity_rows(rows: np.ndarray) -> np.ndarray:
     for j in range(n - 1):
         total += (rows[:, j + 1 :] < rows[:, j : j + 1]).sum(axis=1)
     return (total & 1).astype(np.uint8)
+
+
+def cycle_type_codes(rows: np.ndarray, n: int) -> np.ndarray:
+    """Code of the cycle type of each row of images on 0..n-1: the sum over
+    points x of (n + 1) ** (len(x) - 1), where len(x) is the length of the
+    cycle through x. Its base-(n + 1) digits count the points on cycles of
+    each length, so distinct types get distinct codes. A row that is not a
+    permutation leaves a point off every cycle, so its code matches no type."""
+    rows = np.asarray(rows, dtype=np.intp)
+    count = rows.shape[0]
+    # one flat map over all rows: entry (r, x) sits at r * n + x
+    flat = (rows + np.arange(0, count * n, n)[:, None]).ravel()
+    start = np.arange(count * n)
+    digit = np.zeros(count * n, dtype=np.int64)
+    unseen = np.ones(count * n, dtype=bool)
+    pos = flat
+    for k in range(n):  # pos is the image of each entry under p^(k + 1)
+        back = (pos == start) & unseen
+        digit[back] = (n + 1) ** k
+        unseen &= ~back
+        pos = flat[pos]
+    return digit.reshape(count, n).sum(axis=1)
 
 
 class DenseGroup:
@@ -114,6 +143,46 @@ class DenseGroup:
     def even_mask(self) -> np.ndarray:
         return self.parities == 0
 
+    @functools.cached_property
+    def cycle_types(self) -> "CycleTypeSpace":
+        """The group's cycle-type space, built on first use."""
+        return CycleTypeSpace(self)
+
+
+class CycleTypeSpace:
+    """State space of a walk whose measure is invariant under conjugation by
+    Sym(n): the cycle types present in a dense group. It offers what
+    transition_tables reads of a DenseGroup: `n`, `perms` (one representative
+    row per type, identity first), `size` and `index_rows`. `lift[z]` is the
+    type of group row z."""
+
+    def __init__(self, group: DenseGroup):
+        self.n = group.n
+        # blocks of rows keep the temporaries near a megabyte at Sym(8)
+        codes = [
+            cycle_type_codes(group.perms[i : i + 4096], group.n)
+            for i in range(0, group.size, 4096)
+        ]
+        # the identity's code n is the least of all, so it sorts first
+        self._codes, first, self.lift = np.unique(
+            np.concatenate(codes), return_index=True, return_inverse=True
+        )
+        self.perms = group.perms[first]
+        for a in (self._codes, self.perms, self.lift):
+            a.setflags(write=False)
+
+    @property
+    def size(self) -> int:
+        return self.perms.shape[0]
+
+    def index_rows(self, rows: np.ndarray) -> np.ndarray:
+        """Type index of each row; ValueError for a type outside the group."""
+        codes = cycle_type_codes(rows, self.n)
+        idx = np.minimum(np.searchsorted(self._codes, codes), self.size - 1)
+        if not np.array_equal(self._codes[idx], codes):
+            raise ValueError("cycle type is not in the group (or the row is not a permutation)")
+        return idx.astype(np.int32)
+
 
 @dataclass(frozen=True)
 class Atom:
@@ -142,7 +211,7 @@ class WalkMeasure:
         self.atoms = atoms
         self.degree = degree
         self._by_perm = {a.perm: a for a in atoms}
-        self._tables: dict[DenseGroup, tuple[np.ndarray, np.ndarray]] = {}
+        self._tables: dict[DenseGroup | CycleTypeSpace, tuple[np.ndarray, np.ndarray]] = {}
 
     def prob_of(self, p: Permutation) -> float:
         a = self._by_perm.get(p)
@@ -151,6 +220,19 @@ class WalkMeasure:
     def is_symmetric(self, tol: float = 1e-12) -> bool:
         return all(
             abs(a.prob - self.prob_of(a.perm.inverse())) <= tol for a in self.atoms
+        )
+
+    @functools.cached_property
+    def conjugation_invariant(self) -> bool:
+        """Whether conjugating by (1 2) and by (1 2 ... n), which generate
+        Sym(n), takes every atom to an atom of the same mass: every cycle
+        type the atoms touch is present in full, with equal masses."""
+        n = self.degree
+        if n == 1:
+            return True  # the only atom is the identity
+        gens = (Permutation.transposition(n, 1, 2), Permutation.from_cycles(n, [range(1, n + 1)]))
+        return all(
+            self.prob_of(t * a.perm * t.inverse()) == a.prob for t in gens for a in self.atoms
         )
 
 
@@ -263,12 +345,16 @@ class Distribution:
         return cls(group, probs)
 
 
-def transition_tables(m: WalkMeasure, group: DenseGroup) -> tuple[np.ndarray, np.ndarray]:
+def transition_tables(
+    m: WalkMeasure, group: DenseGroup | CycleTypeSpace
+) -> tuple[np.ndarray, np.ndarray]:
     """Gather tables for convolution: idx[i, z] = index of z * s_i^-1.
 
     One convolution step is new[z] = sum_i probs[i] * old[idx[i, z]].
-    The measure keeps the read-only tables of each group they were built
-    for, so every walk of one measure on one group shares a single build.
+    On a cycle-type space z runs over the type representatives, which is
+    exact for class functions and a conjugation-invariant measure. The
+    measure keeps the read-only tables of each space they were built for,
+    so every walk of one measure on one space shares a single build.
     """
     if m.degree != group.n:
         raise ValueError("measure/group degree mismatch")
@@ -312,17 +398,19 @@ def distance_to_uniform(dist: Distribution, p: float) -> float:
 
 def evolution(m: WalkMeasure, group: DenseGroup):
     """Yield (k, probs) for k = 0, 1, 2, ... lazily, starting from the
-    identity; step k + 1 is computed only when asked for."""
-    idx, probs = transition_tables(m, group)
-    d = Distribution.point_mass(group).probs
-    k = 0
-    while True:
-        yield k, d
-        d = kernels.convolve_steps(d, idx, probs, 1)
+    identity; step k + 1 is computed only when asked for. A conjugation-
+    invariant measure steps the cycle-type vector and yields it lifted."""
+    space = group.cycle_types if m.conjugation_invariant else group
+    idx, probs = transition_tables(m, space)
+    state = np.zeros(space.size)
+    state[0] = 1.0  # the identity is first in both spaces
+    for k in itertools.count():
+        d = state if space is group else state[space.lift]
         mass = d.sum()
         if abs(mass - 1.0) > 1e-9:
-            raise InvariantError(f"convolution step {k + 1} left total mass {mass}, not 1")
-        k += 1
+            raise InvariantError(f"convolution step {k} left total mass {mass}, not 1")
+        yield k, d
+        state = kernels.convolve_steps(state, idx, probs, 1)
 
 
 def _stopping_time(m: WalkMeasure, group: DenseGroup, passes, cap: int, what: str) -> int:

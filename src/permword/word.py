@@ -222,10 +222,8 @@ def generator_counts(w: Word) -> GeneratorCounts:
         return tuple(x * k for x in v)
 
     def do_cat(parts):
-        out = (0, 0, 0, 0)
-        for p in parts:
-            out = tuple(a + b for a, b in zip(out, p))
-        return out
+        # one transposed sum per Cat; an empty Cat has no columns to sum
+        return tuple(map(sum, zip(*parts))) if parts else (0, 0, 0, 0)
 
     cg, ch, cgi, chi = _reduce(w, do_gen, do_inv, do_pow, do_cat)
     return GeneratorCounts(cg, ch, cgi, chi)

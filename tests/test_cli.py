@@ -172,25 +172,40 @@ def test_retry_class_failures_exit_1(capsys):
     assert rec["payload"]["error"] == "BudgetExceededError"
 
 
-def test_mix_exact_builds_tables_once(capsys, monkeypatch):
-    # one gather-table build looks up one row block per atom; the strong
-    # time, the distance table, t2 and both check_argu passes share it
-    from permword import DenseGroup, three_cycle_lazy_measure
+def check_tables_built_once(capsys, monkeypatch, walk, group, lane):
+    # one gather-table build per (measure, state space): the strong time,
+    # the distance table, t2 and both check_argu passes share it
+    from permword import walk as walk_mod
 
-    real = DenseGroup.index_rows
-    calls = []
+    real = walk_mod.transition_tables
+    seen = []
 
-    def counting(self, rows):
-        calls.append(len(rows))
-        return real(self, rows)
+    def recording(m, space):
+        tables = real(m, space)
+        seen.append((m, space, tables))
+        return tables
 
-    monkeypatch.setattr(DenseGroup, "index_rows", counting)
+    monkeypatch.setattr(walk_mod, "transition_tables", recording)
     code, rec = run_record(
-        capsys,
-        ["mix-exact", "--n", "5", "--group", "alt", "--walk", "3cycles", "--eps", "0.5"],
+        capsys, ["mix-exact", "--n", "5", "--group", group, "--walk", walk, "--eps", "0.5"]
     )
     assert code == 0 and "argu" in rec["payload"]
-    assert len(calls) == len(three_cycle_lazy_measure(5).atoms)
+    assert len(seen) == 5
+    assert len({(id(m), id(space)) for m, space, _ in seen}) == 1
+    m, space, tables = seen[0]
+    assert type(space).__name__ == lane
+    assert all(t is tables for _, _, t in seen)
+    assert list(m._tables) == [space]
+
+
+def test_mix_exact_builds_tables_once(capsys, monkeypatch):
+    # a class walk steps the cycle-type space
+    check_tables_built_once(capsys, monkeypatch, "3cycles", "alt", "CycleTypeSpace")
+
+
+def test_mix_exact_builds_dense_tables_once(capsys, monkeypatch):
+    # adjacent transpositions are no whole class, so they step the dense group
+    check_tables_built_once(capsys, monkeypatch, "adjacent", "sym", "DenseGroup")
 
 
 def test_mix_exact_payload_shape(capsys):

@@ -32,7 +32,19 @@ from permword import (
 )
 from permword import kernels
 from permword.errors import InvariantError, MixingCapError
-from permword.walk import STAY, gather_matrix, generated_mask, lazy_step_codes, transition_tables
+from permword.walk import (
+    STAY,
+    Atom,
+    WalkMeasure,
+    adjacent_transposition_lazy_measure,
+    evolution,
+    gather_matrix,
+    generated_mask,
+    lazy_step_codes,
+    lp_norm,
+    transition_tables,
+    transposition_lazy_measure,
+)
 
 from conftest import perm_from_cycles
 
@@ -115,16 +127,147 @@ def dict_convolve(masses, group, k):
     return dist
 
 
-@pytest.mark.parametrize("k", [0, 1, 2, 4])
-def test_evolve_exact_against_dict_oracle(k):
-    group = DenseGroup.alt(4)
-    m = three_cycle_lazy_measure(4)
+def check_against_dict_oracle(m, group, k):
     masses = {a.perm: a.prob for a in m.atoms}
     want = dict_convolve(masses, group, k)
     got = evolve_exact(m, group, k)
     for p, mass in want.items():
         assert abs(got.probs[group.index_of(p)] - mass) < 1e-12
     assert abs(got.probs.sum() - 1.0) < 1e-12
+
+
+@pytest.mark.parametrize("k", [0, 1, 2, 4])
+def test_evolve_exact_against_dict_oracle(k):
+    # the 3-cycle class walk takes the cycle-type lane
+    check_against_dict_oracle(three_cycle_lazy_measure(4), DenseGroup.alt(4), k)
+
+
+@pytest.mark.parametrize("k", [0, 1, 2, 4])
+def test_evolve_exact_dense_lane_against_dict_oracle(k):
+    check_against_dict_oracle(adjacent_transposition_lazy_measure(4), DenseGroup.sym(4), k)
+
+
+CLASS_WALKS = [
+    ("alt", three_cycle_lazy_measure),
+    ("sym", transposition_lazy_measure),
+]
+
+
+def dense_lane(m, group):
+    """Oracle: k -> (l2 and linf distance to uniform, distribution) of the
+    walk stepped over the whole group by its own gather tables."""
+    idx, probs = transition_tables(m, group)
+    d = Distribution.point_mass(group).probs
+    out = []
+
+    def at(k):
+        nonlocal d
+        while len(out) <= k:
+            f = d - 1.0 / group.size
+            out.append((lp_norm(f, 2), lp_norm(f, math.inf), d))
+            d = kernels.convolve_steps(d, idx, probs, 1)
+        return out[k]
+
+    return at
+
+
+@pytest.mark.parametrize("kind, make", CLASS_WALKS)
+@pytest.mark.parametrize("n", [3, 4, 5, 6, 7])
+def test_class_lane_matches_dense_lane(kind, make, n):
+    group, m = DenseGroup(kind, n), make(n)
+    assert m.conjugation_invariant
+    space = group.cycle_types
+    dense = dense_lane(m, group)
+    strong = strong_mixing_time(m, group)
+    first = np.unique(space.lift, return_index=True)[1]  # a group row of each type
+    for k, d in evolution(m, group):
+        want = dense(k)[2]
+        assert np.abs(d - want).max() <= 1e-12 * want.max()
+        # the lifted vector is exactly constant on cycle types
+        assert np.array_equal(d, d[first][space.lift])
+        if k == strong:
+            break
+
+
+@pytest.mark.parametrize("kind, make", CLASS_WALKS)
+@pytest.mark.parametrize("n", [3, 4, 5, 6, 7, 8])
+def test_class_lane_stopping_time_census(kind, make, n):
+    # strong time, t2 and the l2-vs-linf verdict agree with the dense lane
+    group, m = DenseGroup(kind, n), make(n)
+    dense = dense_lane(m, group)
+    size = group.size
+    k = 0
+    while size * dense(k)[1] > 0.5:
+        k += 1
+    assert strong_mixing_time(m, group) == k
+    for eps in (0.05, 0.1, 0.5, 1, 2):
+        t2 = 0
+        while dense(t2)[0] > eps / size:
+            t2 += 1
+        tinf = next((j for j in range(2 * t2 + 1) if dense(j)[1] <= eps * eps / size), None)
+        assert mixing_time_lp(m, group, eps / size, 2) == t2
+        assert check_argu(m, group, eps) == (tinf is not None)
+
+
+def _unequal_transpositions(n):
+    ts = transposition_lazy_measure(n).atoms[1:]
+    weights = [2.0] + [1.0] * (len(ts) - 1)
+    total = sum(weights)
+    atoms = [Atom(Permutation.identity(n), 0.5)]
+    atoms.extend(Atom(a.perm, 0.5 * w / total) for a, w in zip(ts, weights))
+    return WalkMeasure(atoms)
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        adjacent_transposition_lazy_measure,
+        lambda n: lazy_measure(
+            [perm_from_cycles(n, (1, 2)), perm_from_cycles(n, (1, 2, 3, 4, 5)),
+             perm_from_cycles(n, (1, 5, 4, 3, 2))]),
+        lambda n: mu_prime(three_cycle_lazy_measure(n), perm_from_cycles(n, (1, 2))),
+        # the class of transpositions with (1 2) missing
+        lambda n: lazy_measure([a.perm for a in transposition_lazy_measure(n).atoms[2:]]),
+        _unequal_transpositions,
+    ],
+    ids=["adjacent", "custom", "mu_prime", "missing-atom", "unequal-masses"],
+)
+def test_non_class_measures_take_the_dense_lane(make):
+    group, m = DenseGroup.sym(5), make(5)
+    assert not m.conjugation_invariant
+    # and the walk is still the dense one
+    dense = dense_lane(m, group)
+    for k, d in evolution(m, group):
+        assert np.array_equal(d, dense(k)[2])
+        if k == 3:
+            break
+
+
+def test_cycle_type_space():
+    for kind, n, types in (("sym", 5, 7), ("alt", 5, 4), ("sym", 8, 22), ("alt", 8, 12)):
+        group = DenseGroup(kind, n)
+        space = group.cycle_types
+        assert group.cycle_types is space  # built once
+        assert space.size == types and space.n == n
+        assert Permutation(space.perms[0]).is_identity()
+        assert np.array_equal(space.index_rows(space.perms), np.arange(types))
+        assert np.array_equal(space.index_rows(group.perms), space.lift)
+        reps = [tuple(Permutation(r).cycle_type()) for r in space.perms]
+        assert len(set(reps)) == types
+        # each type's rows are its full Sym(n) class
+        for c, count in enumerate(np.bincount(space.lift)):
+            want = math.factorial(n)
+            for length in set(reps[c]):
+                mult = reps[c].count(length)
+                want //= length**mult * math.factorial(mult)
+            assert count == want
+    alt = DenseGroup.alt(5).cycle_types
+    with pytest.raises(ValueError):
+        alt.index_rows(np.array([[1, 0, 2, 3, 4]]))  # a transposition is odd
+    with pytest.raises(ValueError):  # one odd row after even ones
+        alt.index_rows(np.array([[0, 1, 2, 3, 4], [1, 2, 3, 4, 0], [1, 0, 3, 2, 4], [1, 0, 2, 3, 4]]))
+    with pytest.raises(ValueError):
+        alt.index_rows(np.array([[0, 0, 1, 2, 3]]))  # not a permutation
 
 
 def test_evolution_mass_check_raises(monkeypatch):
