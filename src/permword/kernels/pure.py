@@ -1,6 +1,16 @@
 """Pure numpy kernels. Mirror of the C extension; same accumulation order,
 so both lanes give bit-identical float results. All randomness stays with
-the callers: kernels only consume pre-drawn symbol arrays."""
+the callers: kernels only consume pre-drawn symbol arrays.
+
+Every gather is an unchecked ``ndarray.take(..., mode="wrap")``, which
+skips the bounds check of fancy indexing. Precondition: every index lies
+in ``[0, size)`` of the axis it indexes (symbols below the table count,
+table entries and points below n, idx and nbrs entries below the vector
+length). Every producer enforces it when it builds a table: ``lex_lookup``
+raises ValueError for a row outside its table, and ``Permutation``
+validates its images. An index outside the range is not an error here; it
+wraps round instead.
+"""
 
 import numpy as np
 
@@ -15,13 +25,17 @@ def track_points(tables: np.ndarray, symbols: np.ndarray, points: np.ndarray) ->
     Returns (B, m) int32 final positions.
     """
     tables = np.ascontiguousarray(tables, dtype=np.int32)
-    symbols = np.ascontiguousarray(symbols)
+    symbols = np.asarray(symbols)
     points = np.asarray(points, dtype=np.int32)
     B, k = symbols.shape
+    # entry (t, x) of the tables sits at t * n + x of the flat view
+    flat = tables.reshape(-1)
+    offsets = np.ascontiguousarray(symbols.T, dtype=np.intp) * tables.shape[1]
     pos = np.broadcast_to(points, (B, points.shape[0])).copy()
+    at = np.empty(pos.shape, dtype=np.intp)
     for j in range(k):
-        rows = symbols[:, j]
-        pos = tables[rows[:, None], pos]
+        np.add(pos, offsets[j, :, None], out=at)
+        flat.take(at, out=pos, mode="wrap")
     return pos
 
 
@@ -29,14 +43,15 @@ def convolve_steps(dist: np.ndarray, idx: np.ndarray, probs: np.ndarray, steps: 
     """Apply ``steps`` convolution steps: new[z] = sum_i probs[i] * old[idx[i, z]].
 
     idx rows are precomputed translation tables, one per measure atom.
+    Returns a new array, also for steps == 0.
     """
-    d = np.asarray(dist, dtype=np.float64)
-    idx = np.ascontiguousarray(idx, dtype=np.int32)
+    d = np.array(dist, dtype=np.float64)
+    idx = np.ascontiguousarray(idx, dtype=np.intp)
     probs = np.asarray(probs, dtype=np.float64)
     for _ in range(steps):
-        acc = probs[0] * d[idx[0]]
+        acc = probs[0] * d.take(idx[0], mode="wrap")
         for i in range(1, idx.shape[0]):
-            acc += probs[i] * d[idx[i]]
+            acc += probs[i] * d.take(idx[i], mode="wrap")
         d = acc
     return d
 
@@ -45,8 +60,8 @@ def adjacency_apply(f: np.ndarray, nbrs: np.ndarray) -> np.ndarray:
     """Averaging operator of a regular graph: out[x] = mean_j f[nbrs[j, x]]."""
     f = np.asarray(f, dtype=np.float64)
     nbrs = np.ascontiguousarray(nbrs, dtype=np.int32)
-    out = f[nbrs[0]]  # fancy indexing already copies
+    out = f.take(nbrs[0], mode="wrap")
     for j in range(1, nbrs.shape[0]):
-        out += f[nbrs[j]]
+        out += f.take(nbrs[j], mode="wrap")
     out *= 1.0 / nbrs.shape[0]
     return out

@@ -10,7 +10,6 @@ builds the shrink's conjugators and certifies that the pair is 2-transitive.
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -20,7 +19,15 @@ import numpy as np
 from . import kernels
 from .errors import InvariantError
 from .perm import Permutation
-from .walk import STAY, StepTable, gather_matrix, lazy_step_codes, lex_codes, lex_lookup
+from .walk import (
+    STAY,
+    StepTable,
+    gather_matrix,
+    injective_tuples,
+    lazy_step_codes,
+    lex_codes,
+    lex_lookup,
+)
 from .word import Word
 
 MAX_VERTICES = 5_000_000
@@ -42,9 +49,7 @@ class TupleGraph:
         self.h = h
         self.n = n
         self.ell = ell
-        self.tuples = np.array(
-            list(itertools.permutations(range(n), ell)), dtype=np.int32
-        ).reshape(num, ell)
+        self.tuples = injective_tuples(n, ell)
         self._codes = lex_codes(self.tuples, n)
         nbrs = np.empty((4, num), dtype=np.int32)
         for row, images in enumerate(StepTable.of(g, h).images[:STAY]):
@@ -98,6 +103,14 @@ class GapEstimate:
     converged: bool
 
 
+def _dot(a: np.ndarray, b: np.ndarray) -> float:
+    """Inner product of two vectors in einsum's own loop, not BLAS: one
+    thread and one summation order whatever OPENBLAS_NUM_THREADS says, so
+    every estimate is reproducible bit for bit, and no BLAS thread wakes
+    to slow the elementwise passes around it."""
+    return float(np.einsum("i,i->", a, b))
+
+
 def _lanczos(graph: TupleGraph, q: np.ndarray):
     """Plain three-term Lanczos recurrence on the mean-deflated normalized
     adjacency from the unit, mean-zero vector q, holding three vectors and no
@@ -111,9 +124,9 @@ def _lanczos(graph: TupleGraph, q: np.ndarray):
         w -= w.mean()
         if q_prev is not None:
             w -= beta * q_prev
-        alpha = float(q @ w)
+        alpha = _dot(q, w)
         w -= alpha * q
-        beta = float(np.linalg.norm(w))
+        beta = math.sqrt(_dot(w, w))
         yield q, alpha, beta
         if beta <= _CLOSED:
             return
@@ -209,7 +222,7 @@ def _ritz_residual(graph: TupleGraph, v: np.ndarray, s: np.ndarray, theta: float
     ay = graph.apply_adjacency(y)
     ay -= ay.mean()
     ay -= theta * y
-    return float(np.linalg.norm(ay) / np.linalg.norm(y))
+    return math.sqrt(_dot(ay, ay)) / math.sqrt(_dot(y, y))
 
 
 def estimate_gap(
@@ -244,7 +257,7 @@ def estimate_gap(
         raise ValueError("graph too small for a nontrivial eigenvalue")
     v = rng.standard_normal(num)
     v -= v.mean()
-    norm = np.linalg.norm(v)
+    norm = math.sqrt(_dot(v, v))
     if norm == 0.0:
         raise ValueError("degenerate start vector")
     v /= norm

@@ -44,6 +44,20 @@ def lex_codes(rows: np.ndarray, n: int) -> np.ndarray:
     return rows @ weights
 
 
+def injective_tuples(n: int, ell: int) -> np.ndarray:
+    """All injective ell-tuples over 0..n-1 as an (n!/(n-ell)!, ell) int32
+    array in lexicographic order, the order of itertools.permutations.
+    Built one column at a time: each row is extended by each of its unused
+    values in increasing order, which np.nonzero lists row-major."""
+    rows = np.zeros((1, 0), dtype=np.int32)
+    for _ in range(ell):
+        free = np.ones((rows.shape[0], n), dtype=bool)
+        free[np.arange(rows.shape[0])[:, None], rows] = False
+        parent, value = np.nonzero(free)
+        rows = np.column_stack([rows[parent], value.astype(np.int32)])
+    return rows
+
+
 def lex_lookup(table: np.ndarray, codes: np.ndarray, rows: np.ndarray, n: int) -> np.ndarray:
     """Index of each row in a lexicographically sorted table whose base-n
     codes are `codes`; ValueError if a row is not in the table."""
@@ -98,9 +112,7 @@ class DenseGroup:
             raise ValueError(f"dense groups support n in 1..{MAX_DENSE_DEGREE}")
         self.kind = kind
         self.n = n
-        all_perms = np.array(
-            list(itertools.permutations(range(n))), dtype=np.int32
-        ).reshape(math.factorial(n), n)
+        all_perms = injective_tuples(n, n)
         parities = _parity_rows(all_perms)
         if kind == "sym":
             self.perms = all_perms

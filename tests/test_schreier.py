@@ -200,6 +200,35 @@ def test_estimate_gap_seed_stable():
     assert a == b
 
 
+def test_schreier_gap_independent_of_blas_threads():
+    import json
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import permword
+
+    # The children import the same permword copy as this process. A BLAS
+    # reduction splits its sum across threads, so the payload would change
+    # in the last bits with the thread count.
+    root = str(Path(permword.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [root, os.environ.get("PYTHONPATH")]))
+    payloads = []
+    for threads in ("1", "2", "4"):
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "PYTHONPATH": path}
+        out = subprocess.run(
+            [sys.executable, "-m", "permword", "schreier-gap", "--n", "24", "--seed", "1"],
+            capture_output=True,
+            text=True,
+            env=env,
+        )
+        assert out.returncode == 0, out.stderr
+        payloads.append(json.loads(out.stdout)["payload"])
+    assert payloads[0]["converged"]
+    assert payloads[1] == payloads[0] and payloads[2] == payloads[0]
+
+
 def test_conditioned_walk_meets_constraints(rng):
     g, h, _ = seeded_pair(12, 3)
     constraints = [(1, 5), (2, 9)]

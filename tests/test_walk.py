@@ -4,6 +4,7 @@ enumerated group elements, checked against the vectorized evolution for
 several step counts, and an rng.choice draw over lazy_generator_measure
 tracked step by step, checked against sample_walk."""
 
+import itertools
 import math
 
 import numpy as np
@@ -40,6 +41,7 @@ from permword.walk import (
     evolution,
     gather_matrix,
     generated_mask,
+    injective_tuples,
     lazy_step_codes,
     lp_norm,
     transition_tables,
@@ -112,6 +114,16 @@ def test_dense_group_indexing():
         alt.index_of(perm_from_cycles(5, (1, 2)))
     with pytest.raises(ValueError):
         alt.index_rows(np.array([[0, 0, 1, 2, 3]]))
+
+
+@pytest.mark.parametrize(
+    "n, ell", [(n, ell) for n in range(9) for ell in range(n + 1)] + [(24, 3)]
+)
+def test_injective_tuples_match_itertools(n, ell):
+    want = list(itertools.permutations(range(n), ell))
+    got = injective_tuples(n, ell)
+    assert got.dtype == np.int32 and got.shape == (len(want), ell)
+    assert got.tolist() == [list(t) for t in want]
 
 
 def dict_convolve(masses, group, k):
