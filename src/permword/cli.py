@@ -51,8 +51,7 @@ def build_id() -> str:
         root = pathlib.Path(__file__).parent
         sources = sorted(
             (path.relative_to(root).as_posix(), path)
-            for path in root.rglob("*")
-            if path.suffix in (".py", ".pyx")
+            for path in root.rglob("*.py")
         )
         hasher = hashlib.sha1()
         for rel, path in sources:

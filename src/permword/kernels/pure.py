@@ -1,6 +1,6 @@
-"""Pure numpy kernels. Mirror of the C extension; same accumulation order,
-so both lanes give bit-identical float results. All randomness stays with
-the callers: kernels only consume pre-drawn symbol arrays.
+"""Numpy kernels for the hot loops: point tracking, distribution
+convolution and adjacency application. All randomness stays with the
+callers: kernels only consume pre-drawn symbol arrays.
 
 Every gather is an unchecked ``ndarray.take(..., mode="wrap")``, which
 skips the bounds check of fancy indexing. Precondition: every index lies
@@ -9,7 +9,9 @@ table entries and points below n, idx and nbrs entries below the vector
 length). Every producer enforces it when it builds a table: ``lex_lookup``
 raises ValueError for a row outside its table, and ``Permutation``
 validates its images. An index outside the range is not an error here; it
-wraps round instead.
+wraps round instead. The producers build their gather tables as intp,
+which ``take`` reads as they are; an index array of any other integer
+dtype is converted on every call.
 """
 
 import numpy as np
@@ -59,7 +61,6 @@ def convolve_steps(dist: np.ndarray, idx: np.ndarray, probs: np.ndarray, steps: 
 def adjacency_apply(f: np.ndarray, nbrs: np.ndarray) -> np.ndarray:
     """Averaging operator of a regular graph: out[x] = mean_j f[nbrs[j, x]]."""
     f = np.asarray(f, dtype=np.float64)
-    nbrs = np.ascontiguousarray(nbrs, dtype=np.int32)
     out = f.take(nbrs[0], mode="wrap")
     for j in range(1, nbrs.shape[0]):
         out += f.take(nbrs[j], mode="wrap")

@@ -3,7 +3,7 @@
 The graph's vertices are the injective ell-tuples over {1..n}; the edge
 multiset at x is {x^g, x^(g^-1), x^h, x^(h^-1)} acting coordinatewise, kept
 as a 4-row neighbor table that the Lanczos eigenvalue estimator works off
-through the kernel backend. A breadth-first tree on ordered pairs of points
+through the adjacency kernel. A breadth-first tree on ordered pairs of points
 builds the shrink's conjugators and certifies that the pair is 2-transitive.
 """
 
@@ -51,7 +51,7 @@ class TupleGraph:
         self.ell = ell
         self.tuples = injective_tuples(n, ell)
         self._codes = lex_codes(self.tuples, n)
-        nbrs = np.empty((4, num), dtype=np.int32)
+        nbrs = np.empty((4, num), dtype=np.intp)
         for row, images in enumerate(StepTable.of(g, h).images[:STAY]):
             nbrs[row] = self.rank_rows(images[self.tuples])
         self.neighbors = nbrs

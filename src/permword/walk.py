@@ -4,7 +4,7 @@ The full symmetric or alternating group on up to 8 points is held as an
 array of image tables in lexicographic order; a row is found by binary
 search on its base-n code. Walk distributions are dense float vectors over
 the group; one convolution step is a weighted gather through precomputed
-translation tables, which is the compiled-kernel hot path. The same tables
+translation tables, the hot path of the convolution kernel. The same tables
 give the dense transition matrices and subgroup closures of the oracles.
 
 A measure invariant under conjugation by Sym(n), such as a lazy walk on a
@@ -64,7 +64,7 @@ def lex_lookup(table: np.ndarray, codes: np.ndarray, rows: np.ndarray, n: int) -
     rows = np.asarray(rows)
     idx = np.searchsorted(codes, lex_codes(rows, n))
     # a code past the last one is clamped and then fails the row check
-    idx = np.minimum(idx, table.shape[0] - 1).astype(np.int32)
+    idx = np.minimum(idx, table.shape[0] - 1)
     if not np.array_equal(table[idx], rows):
         raise ValueError("row is not in the table (outside the group or not injective)")
     return idx
@@ -193,7 +193,7 @@ class CycleTypeSpace:
         idx = np.minimum(np.searchsorted(self._codes, codes), self.size - 1)
         if not np.array_equal(self._codes[idx], codes):
             raise ValueError("cycle type is not in the group (or the row is not a permutation)")
-        return idx.astype(np.int32)
+        return idx
 
 
 @dataclass(frozen=True)
@@ -372,7 +372,7 @@ def transition_tables(
         raise ValueError("measure/group degree mismatch")
     tables = m._tables.get(group)
     if tables is None:
-        idx = np.empty((len(m.atoms), group.size), dtype=np.int32)
+        idx = np.empty((len(m.atoms), group.size), dtype=np.intp)
         probs = np.empty(len(m.atoms))
         for i, atom in enumerate(m.atoms):
             sinv = atom.perm.inverse().images

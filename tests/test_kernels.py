@@ -1,5 +1,4 @@
-"""Backend lanes: the compiled extension and the pure numpy kernels must
-agree bit for bit, since they share one accumulation order."""
+"""The numpy kernels against naive loops, and the index tables they read."""
 
 import numpy as np
 import pytest
@@ -11,17 +10,10 @@ from permword import (
     lazy_generator_measure,
     three_cycle_lazy_measure,
 )
-from permword.kernels import BACKEND, adjacency_apply, backend, convolve_steps, pure, track_points
+from permword.kernels import adjacency_apply, convolve_steps, pure, track_points
 from permword.walk import transition_tables
 
 from conftest import seeded_pair
-
-try:
-    from permword import _ckernels
-except ImportError:
-    _ckernels = None
-
-needs_c = pytest.mark.skipif(_ckernels is None, reason="compiled extension absent")
 
 
 def random_inputs(seed):
@@ -39,25 +31,6 @@ def random_inputs(seed):
     return tables, symbols, points, dist, idx, probs, nbrs, f
 
 
-def test_backend_reports_active_lane():
-    assert backend() == BACKEND
-    assert BACKEND in ("c", "python")
-
-
-@needs_c
-@pytest.mark.parametrize("seed", [0, 1, 2])
-def test_lanes_agree_bitwise(seed):
-    tables, symbols, points, dist, idx, probs, nbrs, f = random_inputs(seed)
-    assert np.array_equal(
-        pure.track_points(tables, symbols, points),
-        _ckernels.track_points(tables, symbols, points),
-    )
-    a = pure.convolve_steps(dist, idx, probs, 5)
-    b = _ckernels.convolve_steps(dist, idx, probs, 5)
-    assert np.array_equal(a, b)
-    assert np.array_equal(pure.adjacency_apply(f, nbrs), _ckernels.adjacency_apply(f, nbrs))
-
-
 def test_track_points_identity_and_composition():
     tables, symbols, points, *_ = random_inputs(3)
     out = track_points(tables, symbols, points)
@@ -73,10 +46,10 @@ def test_convolve_steps_zero_steps_is_identity():
     _, _, _, dist, idx, probs, _, _ = random_inputs(4)
     out = convolve_steps(dist, idx, probs, 0)
     assert np.array_equal(out, dist)
-    assert out is not dist  # a copy in both lanes, never the caller's array
+    assert out is not dist  # a copy, never the caller's array
 
 
-# -- naive-loop oracles for the pure lane ----------------------------------------
+# -- naive-loop oracles ----------------------------------------------------------
 
 
 def naive_track(tables, symbols, points):
@@ -150,20 +123,24 @@ def test_pure_adjacency_apply_matches_naive_loop(size, deg):
 
 
 def test_index_table_producers_stay_in_range():
-    # the pure lane gathers without a bounds check, so every table a kernel
-    # reads must hold indices in [0, size) of the axis it indexes
+    # the kernels gather without a bounds check, so every table a kernel
+    # reads must hold indices in [0, size) of the axis it indexes; gather
+    # tables are intp, which take reads without converting
     g, h, _ = seeded_pair(7, 2)
     graph = TupleGraph(g, h, 3)
     nbrs = graph.neighbors
+    assert nbrs.dtype == np.intp
     assert nbrs.min() >= 0 and nbrs.max() < graph.num_vertices
+    assert graph.rank_rows(graph.tuples).dtype == np.intp  # walk.lex_lookup
     images = StepTable.of(g, h).images
     assert images.min() >= 0 and images.max() < g.degree
     for m, space in (
         (lazy_generator_measure(*seeded_pair(6, 0)[:2]), DenseGroup.sym(6)),
         (three_cycle_lazy_measure(6), DenseGroup.alt(6).cycle_types),
     ):
+        assert space.index_rows(space.perms).dtype == np.intp
         idx, _ = transition_tables(m, space)
-        assert idx.shape[1] == space.size
+        assert idx.dtype == np.intp and idx.shape[1] == space.size
         assert idx.min() >= 0 and idx.max() < space.size
 
 
@@ -178,24 +155,3 @@ def test_adjacency_apply_matches_mean():
     out = adjacency_apply(f, nbrs)
     want = np.mean([f[nbrs[j]] for j in range(4)], axis=0)
     assert np.allclose(out, want, atol=1e-15)
-
-
-def test_pure_lane_selectable_by_env():
-    import os
-    import subprocess
-    import sys
-    from pathlib import Path
-
-    import permword
-
-    # The child inherits this environment and imports the same permword copy
-    # as this process, whether the package is installed or on PYTHONPATH.
-    root = str(Path(permword.__file__).resolve().parents[1])
-    path = os.pathsep.join(filter(None, [root, os.environ.get("PYTHONPATH")]))
-    env_pure = {**os.environ, "PERMWORD_PURE": "1", "PYTHONPATH": path}
-    code = "from permword.kernels import BACKEND; print(BACKEND)"
-    out = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, env=env_pure
-    )
-    assert out.returncode == 0, out.stderr
-    assert out.stdout.strip() == "python"
