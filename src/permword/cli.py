@@ -205,12 +205,11 @@ def run_shrink(args) -> dict:
 
 
 def run_synth(args) -> dict:
+    target = None if args.target == "random-even" else parse_permutation(args.target, degree=args.n)
     g, h, rng = _seeded_pair(args.n, args.seed)
     ctx = synth_mod.prepare_context(g, h, rng)
-    if args.target == "random-even":
+    if target is None:  # drawn after the context, so seeded payloads keep their rng stream
         target = random_even(args.n, rng)
-    else:
-        target = parse_permutation(args.target, degree=args.n)
     word = synth_mod.synthesize(ctx, target)
     payload = {
         "n": args.n,
@@ -230,15 +229,9 @@ def run_compare(args) -> dict:
     ctx = None
     if args.n > compare_mod.MAX_BFS_DEGREE:
         ctx = synth_mod.prepare_context(g, h, rng)
-    rep = compare_mod.comparison_report(
-        g, h, ctx, args.mode, rng, per_generator=args.per_generator
-    )
+    rep = compare_mod.comparison_report(g, h, ctx, args.mode, rng)
     out = asdict(rep)
-    out["gap_lower_bound"] = (
-        float(out["gap_lower_bound"])
-        if isinstance(out["gap_lower_bound"], Fraction)
-        else out["gap_lower_bound"]
-    )
+    out["gap_lower_bound"] = float(out["gap_lower_bound"])
     return out
 
 
@@ -285,6 +278,18 @@ def run_sweep(args) -> str:
     sweep itself still exits 0."""
     with open(args.config, encoding="utf-8") as fh:
         cfg = json.load(fh)
+    if not (
+        isinstance(cfg, dict)
+        and isinstance(cfg.get("params", {}), dict)
+        and all(
+            isinstance(r, list) and len(r) == 2 and all(isinstance(x, int) for x in r)
+            for r in (cfg.get("n_range"), cfg.get("seed_range"))
+        )
+    ):
+        raise ValueError(
+            "sweep config must be a JSON object {subcommand, n_range: [lo, hi], "
+            "seed_range: [lo, hi], params: {flag: value}} with integer lo and hi"
+        )
     sub = cfg["subcommand"]
     if sub not in RUNNERS:
         raise ValueError(f"sweep cannot drive subcommand {sub!r}")
@@ -295,8 +300,8 @@ def run_sweep(args) -> str:
     out = io.StringIO()
     writer = csv.writer(out)
     writer.writerow(["n", "seed", "ok", "error", "payload"])
-    for n in range(int(n_lo), int(n_hi) + 1):
-        for seed in range(int(s_lo), int(s_hi) + 1):
+    for n in range(n_lo, n_hi + 1):
+        for seed in range(s_lo, s_hi + 1):
             writer.writerow(_sweep_one(parser, sub, n, seed, params))
     return out.getvalue()
 
@@ -362,8 +367,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp = add("compare", help="comparison constant A and transferred gap bound")
     sp.add_argument("--n", type=int, required=True)
     sp.add_argument("--mode", default="exact", help="'exact' or 'sample:M'")
-    sp.add_argument("--per-generator", action="store_true",
-                    help="normalize by 1/p(s) instead of 1/p(S)")
 
     sp = add("sweep", help="cross-product of (n, seed) for one subcommand, CSV out")
     sp.add_argument("--config", required=True,

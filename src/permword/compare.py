@@ -7,10 +7,11 @@ odd generator as translator, so both cosets are charged). Writing each
 reference element y as a word in the generators gives the comparison
 constant
 
-    A = (1 / p(S)) * max_{s in S} sum_y |y| N(s, y) p'(y)
+    A = max_{s in S} (1 / p(s)) sum_y |y| N(s, y) p'(y)
 
 with |y| the expanded word length and N(s, y) the number of occurrences of
-the symbol s, and then delta(p) >= delta(p') / A.
+the symbol s, and then delta(p) >= delta(p') / A (Diaconis and
+Saloff-Coste 1993).
 """
 
 from __future__ import annotations
@@ -42,7 +43,6 @@ __all__ = [
     "ComparisonReport",
     "bfs_words",
     "reference_measure",
-    "compute_A",
     "comparison_report",
     "gap_lower_bound",
     "l2_comparison_bound",
@@ -100,6 +100,8 @@ def reference_measure(g: Permutation, h: Permutation) -> dict[Permutation, Fract
     average of the translated classes tC and t^-1 C for an odd generator t;
     the two cosets can overlap, so masses accumulate.
     """
+    if g.degree < 3:
+        raise ValueError("3-cycles need n >= 3")
     if g.is_even() and h.is_even():
         cls = three_cycles(g.degree)
         base = Fraction(1, len(cls))
@@ -129,25 +131,10 @@ def _parse_mode(mode: str) -> int | None:
     """None for exact, sample count for "sample:M"."""
     if mode == "exact":
         return None
-    if mode.startswith("sample:"):
-        m = int(mode.split(":", 1)[1])
-        if m <= 0:
-            raise ValueError("sample count must be positive")
-        return m
-    raise ValueError(f"mode must be 'exact' or 'sample:M', got {mode!r}")
-
-
-def compute_A(
-    g: Permutation,
-    h: Permutation,
-    ctx: SynthContext | None,
-    mode: str = "exact",
-    rng: np.random.Generator | None = None,
-    *,
-    per_generator: bool = False,
-) -> Fraction | float:
-    """The comparison constant A of comparison_report."""
-    return comparison_report(g, h, ctx, mode, rng, per_generator=per_generator).A
+    count = mode.removeprefix("sample:")
+    if count != mode and count.isdecimal() and int(count) > 0:
+        return int(count)
+    raise ValueError(f"mode must be 'exact' or 'sample:M' with M a positive integer, got {mode!r}")
 
 
 def comparison_report(
@@ -156,8 +143,6 @@ def comparison_report(
     ctx: SynthContext | None,
     mode: str = "exact",
     rng: np.random.Generator | None = None,
-    *,
-    per_generator: bool = False,
 ) -> ComparisonReport:
     """The comparison constant A (an exact Fraction in exact mode), the gap
     bound it transfers, and the statistics of the words behind it.
@@ -170,7 +155,7 @@ def comparison_report(
     pprime = reference_measure(g, h)
     provider = _word_provider(g, h, ctx)
     samples = _parse_mode(mode)
-    inv_ps = 8 if per_generator else 2  # 1/p(s) vs 1/p(S) under the lazy measure
+    inv_ps = 8  # 1/p(s): the lazy measure gives each of g, g^-1, h, h^-1 mass 1/8
 
     if samples is None:
         if n > MAX_EXACT_DEGREE:
@@ -201,7 +186,7 @@ def comparison_report(
     a_value = inv_ps * max(sums)
     limit = inv_ps * Fraction(max_len) ** 2
     if a_value > limit:
-        raise InvariantError(f"A = {a_value} exceeds its bound (1/p(S)) * max|y|^2 = {limit}")
+        raise InvariantError(f"A = {a_value} exceeds its bound (1/p(s)) * max|y|^2 = {limit}")
 
     err = None
     if samples is not None:

@@ -157,10 +157,6 @@ class Permutation:
         out[r._img] = r._img[self._img]
         return Permutation._raw(out)
 
-    def commutator(self, other: "Permutation") -> "Permutation":
-        """self^-1 * other^-1 * self * other."""
-        return self.inverse() * other.inverse() * self * other
-
     # -- structure -------------------------------------------------------------
 
     def is_identity(self) -> bool:

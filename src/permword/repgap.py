@@ -225,10 +225,6 @@ def switch_move(
     return new_lam, delta
 
 
-def switch_delta(lam: tuple[int, ...], a: int, b: int) -> int:
-    return switch_move(lam, a, b)[1]
-
-
 @dataclass(frozen=True)
 class GapExact:
     n: int
@@ -271,7 +267,7 @@ def _class_matrix(n: int) -> np.ndarray:
     """Dense transition matrix of the non-lazy 3-cycle class average on Alt(n)."""
     cycles = walk_mod.three_cycles(n)
     m = walk_mod.WalkMeasure(walk_mod.Atom(c, 1.0 / len(cycles)) for c in cycles)
-    return walk_mod.gather_matrix(*walk_mod.transition_tables(m, walk_mod.DenseGroup.alt(n)))
+    return walk_mod.gather_matrix(*walk_mod.transition_tables(m, walk_mod.DenseGroup("alt", n)))
 
 
 def _check_symmetric(M: np.ndarray, what: str) -> None:
@@ -354,7 +350,7 @@ def garna_check(n: int, g: Permutation, tol: float = 1e-9) -> GarnaReport:
     if any(p.parity() != 1 for p in counts):
         raise InvariantError("translated class charges an even permutation")
     m = walk_mod.WalkMeasure(walk_mod.Atom(p, k / total) for p, k in counts.items())
-    M = walk_mod.gather_matrix(*walk_mod.transition_tables(m, walk_mod.DenseGroup.sym(n)))
+    M = walk_mod.gather_matrix(*walk_mod.transition_tables(m, walk_mod.DenseGroup("sym", n)))
     _check_symmetric(M, "translated walk")
     eigs = np.sort(np.linalg.eigvalsh(M))[::-1]
     _check_eigenvalue_one(eigs, "translated walk")

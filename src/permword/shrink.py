@@ -237,18 +237,6 @@ def _commutator_step_counted(
     )
 
 
-def commutator_step(
-    s: WordElement,
-    g: Permutation,
-    h: Permutation,
-    k: int,
-    rng: np.random.Generator,
-) -> WordElement:
-    """Public single-step form of the shrink iteration."""
-    r, _ = _commutator_step_counted(s, g, h, k, rng)
-    return r
-
-
 @dataclass(frozen=True)
 class ShrinkResult:
     element: Permutation

@@ -27,7 +27,6 @@ from .word import (
     Inv,
     Word,
     WordElement,
-    concat,
     evaluate,
     power,
 )
@@ -367,7 +366,7 @@ def _factor_word(ctx: SynthContext, factor: Permutation) -> Word:
             return inner.word
         moved_back = rho.perm * inner.perm * rho.perm.inverse()
         _require_3cycle(moved_back, _cycle_points(factor), "relocated factor")
-        return concat(rho.word, inner.word, Inv(rho.word))
+        return Cat((rho.word, inner.word, Inv(rho.word)))
     raise RetryExhaustedError("no placement of a 3-cycle factor inside the cycle was realized")
 
 

@@ -84,8 +84,7 @@ def cycle_type_codes(rows: np.ndarray, n: int) -> np.ndarray:
     """Code of the cycle type of each row of images on 0..n-1: the sum over
     points x of (n + 1) ** (len(x) - 1), where len(x) is the length of the
     cycle through x. Its base-(n + 1) digits count the points on cycles of
-    each length, so distinct types get distinct codes. A row that is not a
-    permutation leaves a point off every cycle, so its code matches no type."""
+    each length, so distinct types get distinct codes."""
     rows = np.asarray(rows, dtype=np.intp)
     count = rows.shape[0]
     # one flat map over all rows: entry (r, x) sits at r * n + x
@@ -121,14 +120,6 @@ class DenseGroup:
             self.perms = all_perms[parities == 0]
             self.parities = np.zeros(self.perms.shape[0], dtype=np.uint8)
         self._codes = lex_codes(self.perms, n)
-
-    @classmethod
-    def sym(cls, n: int) -> "DenseGroup":
-        return cls("sym", n)
-
-    @classmethod
-    def alt(cls, n: int) -> "DenseGroup":
-        return cls("alt", n)
 
     @property
     def size(self) -> int:
@@ -170,17 +161,19 @@ class CycleTypeSpace:
 
     def __init__(self, group: DenseGroup):
         self.n = group.n
+        # the group's sorted rows and codes, not the group: it holds this space
+        self._group_table = (group.perms, group._codes)
         # blocks of rows keep the temporaries near a megabyte at Sym(8)
         codes = [
             cycle_type_codes(group.perms[i : i + 4096], group.n)
             for i in range(0, group.size, 4096)
         ]
         # the identity's code n is the least of all, so it sorts first
-        self._codes, first, self.lift = np.unique(
+        _, first, self.lift = np.unique(
             np.concatenate(codes), return_index=True, return_inverse=True
         )
         self.perms = group.perms[first]
-        for a in (self._codes, self.perms, self.lift):
+        for a in (self.perms, self.lift):
             a.setflags(write=False)
 
     @property
@@ -188,12 +181,8 @@ class CycleTypeSpace:
         return self.perms.shape[0]
 
     def index_rows(self, rows: np.ndarray) -> np.ndarray:
-        """Type index of each row; ValueError for a type outside the group."""
-        codes = cycle_type_codes(rows, self.n)
-        idx = np.minimum(np.searchsorted(self._codes, codes), self.size - 1)
-        if not np.array_equal(self._codes[idx], codes):
-            raise ValueError("cycle type is not in the group (or the row is not a permutation)")
-        return idx
+        """Type index of each row; ValueError for a row outside the group."""
+        return self.lift[lex_lookup(*self._group_table, rows, self.n)]
 
 
 @dataclass(frozen=True)
@@ -476,7 +465,7 @@ def _beeth_distances(n: int, g: Permutation):
     group with norms normalized by |Sym(n)|."""
     if g.parity() != 1:
         raise ValueError("g must be odd")
-    group = DenseGroup.sym(n)
+    group = DenseGroup("sym", n)
     m = three_cycle_lazy_measure(n)
     mp = mu_prime(m, g)
     size = group.size

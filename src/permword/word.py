@@ -78,23 +78,11 @@ GEN_G = Gen("g")
 GEN_H = Gen("h")
 
 
-def empty_word() -> Cat:
-    return Cat(())
-
-
-def concat(*words: Word) -> Cat:
-    return Cat(tuple(words))
-
-
 def power(w: Word, k: int) -> Word:
     """Pow node; negative exponents normalize to a positive power of Inv."""
     if k < 0:
         return Pow(Inv(w), -k)
     return Pow(w, k)
-
-
-def inverse(w: Word) -> Inv:
-    return Inv(w)
 
 
 # -- generic bottom-up reduction ------------------------------------------------
@@ -400,12 +388,12 @@ class WordElement:
         return WordElement(Inv(self.word), self.perm.inverse())
 
     def __mul__(self, other: "WordElement") -> "WordElement":
-        return WordElement(concat(self.word, other.word), self.perm * other.perm)
+        return WordElement(Cat((self.word, other.word)), self.perm * other.perm)
 
     def conjugated_by(self, r: "WordElement") -> "WordElement":
         """r^-1 * self * r, pairing words and permutations."""
         return WordElement(
-            concat(Inv(r.word), self.word, r.word), self.perm.conjugate(r.perm)
+            Cat((Inv(r.word), self.word, r.word)), self.perm.conjugate(r.perm)
         )
 
     def pow(self, k: int) -> "WordElement":

@@ -105,7 +105,7 @@ PINNED_PAYLOADS = {
     ),
     "compare": (
         ["compare", "--n", "12", "--seed", "1", "--mode", "sample:16"],
-        "c7fa814250b7aeb8dbd3c0643ccd96c163ba46ae",
+        "670841aa5a6f193bdf7bbf3ec2e7b59c412d4b5d",
     ),
 }
 
@@ -147,7 +147,20 @@ def test_usage_errors_exit_2(capsys):
     assert dispatch(mix + ["--eps", "-0.5"]) == 2
     # orbits of sizes 15 and 1: the pair generates neither Alt(16) nor Sym(16)
     assert dispatch(["synth", "--n", "16", "--seed", "0"]) == 2
+    # no 3-cycles below n = 3, so no reference walk
+    assert dispatch(["compare", "--n", "1"]) == 2
+    assert dispatch(["compare", "--n", "2"]) == 2
+    assert dispatch(["compare", "--n", "5", "--mode", "sample:x"]) == 2
+    assert dispatch(["compare", "--n", "5", "--mode", "sample:0"]) == 2
     capsys.readouterr()
+
+
+def test_usage_error_messages_name_the_fault(capsys):
+    assert dispatch(["compare", "--n", "5", "--mode", "sample:x"]) == 2
+    assert "'sample:M' with M a positive integer" in capsys.readouterr().err
+    # an explicit target is parsed before the pair's orbits are examined
+    assert dispatch(["synth", "--n", "16", "--seed", "0", "--target", "(1 17)"]) == 2
+    assert "out of range 1..16" in capsys.readouterr().err
 
 
 def test_help_exits_0(capsys):
@@ -234,7 +247,7 @@ def test_mix_exact_payload_shape(capsys):
     p = rec["payload"]
     assert p["strong_mixing_time"] > 3
     assert len(p["k_vs_distance"]) == min(p["strong_mixing_time"], 3) + 1
-    group, m = DenseGroup.alt(5), three_cycle_lazy_measure(5)
+    group, m = DenseGroup("alt", 5), three_cycle_lazy_measure(5)
     for row in p["k_vs_distance"]:
         assert row["l2"] == distance_to_uniform(evolve_exact(m, group, row["k"]), 2)
 
@@ -291,6 +304,20 @@ def test_compare_payload(capsys):
     assert p["mode"] == "exact"
     assert p["gap_reference"] == "3/4"
     assert "/" in p["A"]
+    assert set(rec["params"]) == {"n", "seed", "mode"}
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_compare_bound_is_below_dense_gap(capsys, seed):
+    from conftest import generated_group, seeded_pair
+    from permword import lazy_generator_measure
+    from permword.compare import dense_walk_gap
+
+    code, rec = run_record(capsys, ["compare", "--n", "5", "--seed", str(seed), "--mode", "exact"])
+    assert code == 0
+    g, h, _ = seeded_pair(5, seed)
+    group = generated_group(g, h)
+    assert rec["payload"]["gap_lower_bound"] <= dense_walk_gap(lazy_generator_measure(g, h), group)
 
 
 def test_schreier_payload(capsys):
@@ -355,3 +382,31 @@ def test_sweep_rejects_bad_config(capsys, tmp_path):
     missing = tmp_path / "missing.json"
     assert dispatch(["sweep", "--config", str(missing)]) == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize(
+    "cfg",
+    [
+        [{"subcommand": "gap-exact", "n_range": [5, 5], "seed_range": [0, 0]}],
+        {"subcommand": "gap-exact", "n_range": [5, 5], "seed_range": [0, 0], "params": ["n"]},
+        {"subcommand": "gap-exact", "n_range": [5, 5], "seed_range": [0, 0], "params": "x"},
+        {"subcommand": "gap-exact", "n_range": 5, "seed_range": [0, 0]},
+        {"subcommand": "gap-exact", "n_range": [5, 5]},
+        {"subcommand": "gap-exact", "n_range": [None, 5], "seed_range": [0, 0]},
+    ],
+    ids=["array", "params-list", "params-string", "n-range-int", "no-seed-range", "null-bound"],
+)
+def test_sweep_rejects_malformed_config_shape(capsys, tmp_path, cfg):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    assert dispatch(["sweep", "--config", str(path)]) == 2
+    assert "must be a JSON object" in capsys.readouterr().err
+
+
+def test_sweep_flags_unknown_flag_as_usage_error(capsys, tmp_path):
+    cfg = {
+        "subcommand": "compare", "n_range": [5, 5], "seed_range": [0, 0],
+        "params": {"no_such_flag": True},
+    }
+    rows = sweep_rows(capsys, cfg, tmp_path)
+    assert rows[1][2:] == ["False", "usage error", ""]

@@ -14,7 +14,6 @@ from permword import (
     Permutation,
     bfs_words,
     comparison_report,
-    compute_A,
     evaluate,
     expanded_length,
     gap_lower_bound,
@@ -105,24 +104,22 @@ def test_reference_measure_mixed_pair_translated_class():
 
 def test_compute_A_exact_fraction_and_bounds():
     g, h, _ = mixed_pair(5)
-    A = compute_A(g, h, None, "exact")
+    A = comparison_report(g, h, None, "exact").A
     assert isinstance(A, Fraction) and A > 0
     words = bfs_words(g, h)
     max_len = max(
         expanded_length(words[p]) for p in reference_measure(g, h)
     )
-    assert A <= 2 * Fraction(max_len) ** 2
-    # the per-generator normalization is exactly 4x the printed one
-    assert compute_A(g, h, None, "exact", per_generator=True) == 4 * A
+    assert A <= 8 * Fraction(max_len) ** 2
 
 
 def test_A_bound_check_survives_python_O(monkeypatch):
-    # counts with one entry above their total push A past (1/p(S)) max|y|^2
+    # counts with one entry above their total push A past (1/p(s)) max|y|^2
     g = perm_from_cycles(5, (1, 2))
     h = perm_from_cycles(5, (1, 2, 3, 4, 5))
     monkeypatch.setattr(compare, "generator_counts", lambda w: GeneratorCounts(2, -1, 0, 0))
     with pytest.raises(InvariantError):
-        compute_A(g, h, None, "exact")
+        comparison_report(g, h, None, "exact")
     # python -O strips asserts; the bound check must still run
     code = """
         from permword import InvariantError, Permutation, compare
@@ -132,7 +129,7 @@ def test_A_bound_check_survives_python_O(monkeypatch):
         h = Permutation.from_cycles(5, [(1, 2, 3, 4, 5)])
         compare.generator_counts = lambda w: GeneratorCounts(2, -1, 0, 0)
         try:
-            compare.compute_A(g, h, None, "exact")
+            compare.comparison_report(g, h, None, "exact")
             print(__debug__, "returned")
         except InvariantError:
             print(__debug__, "InvariantError")
@@ -142,7 +139,7 @@ def test_A_bound_check_survives_python_O(monkeypatch):
 
 def test_compute_A_sampled_is_consistent_with_exact():
     g, h, _ = mixed_pair(5)
-    exact = compute_A(g, h, None, "exact")
+    exact = comparison_report(g, h, None, "exact").A
     rep = comparison_report(g, h, None, "sample:4000", np.random.default_rng(0))
     assert rep.sample_error is not None
     assert abs(float(rep.A) - float(exact)) <= rep.sample_error
@@ -154,7 +151,7 @@ def test_compute_A_rejects_big_exact_degree():
 
     ctx = prepare_context(g, h, rng)
     with pytest.raises(ValueError):
-        compute_A(g, h, ctx, "exact")
+        comparison_report(g, h, ctx, "exact")
     assert MAX_EXACT_DEGREE == 14 and MAX_BFS_DEGREE == 8
 
 
@@ -167,9 +164,9 @@ def test_comparison_report_fields():
     assert rep.mode == "exact"
     assert rep.sample_error is None
     assert rep.words_used >= 1 and rep.max_word_length >= 1
-    assert compute_A(g, h, None, "exact") == rep.A
     sampled = comparison_report(g, h, None, "sample:40", np.random.default_rng(5))
-    assert compute_A(g, h, None, "sample:40", np.random.default_rng(5)) == sampled.A
+    assert sampled.words_used == 40 and sampled.sample_error > 0
+    assert comparison_report(g, h, None, "sample:40", np.random.default_rng(5)) == sampled
 
 
 def test_gap_lower_bound_rejects_nonpositive():
@@ -182,7 +179,7 @@ def test_gap_lower_bound_rejects_nonpositive():
 def test_transfer_inequality_per_generator_small_degrees():
     # dense gap of the lazy pair walk vs reference gap divided by A
     for n, seeds in ((5, (0, 1)), (6, (0,))):
-        group = DenseGroup.sym(n)
+        group = DenseGroup("sym", n)
         seed = 0
         hits = 0
         while hits < len(seeds):
@@ -191,7 +188,7 @@ def test_transfer_inequality_per_generator_small_degrees():
             if not generated_mask([g, h], group).all():
                 continue
             hits += 1
-            A = compute_A(g, h, None, "exact", per_generator=True)
+            A = comparison_report(g, h, None, "exact").A
             delta_p = dense_walk_gap(lazy_generator_measure(g, h), group)
             ref = reference_measure(g, h)
             # the reference comparison is against the lazy version of p'

@@ -135,8 +135,8 @@ def test_index_table_producers_stay_in_range():
     images = StepTable.of(g, h).images
     assert images.min() >= 0 and images.max() < g.degree
     for m, space in (
-        (lazy_generator_measure(*seeded_pair(6, 0)[:2]), DenseGroup.sym(6)),
-        (three_cycle_lazy_measure(6), DenseGroup.alt(6).cycle_types),
+        (lazy_generator_measure(*seeded_pair(6, 0)[:2]), DenseGroup("sym", 6)),
+        (three_cycle_lazy_measure(6), DenseGroup("alt", 6).cycle_types),
     ):
         assert space.index_rows(space.perms).dtype == np.intp
         idx, _ = transition_tables(m, space)

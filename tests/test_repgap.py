@@ -26,7 +26,6 @@ from permword.repgap import (
     gap_table,
     m3,
     partitions,
-    switch_delta,
     switch_move,
 )
 
@@ -215,7 +214,6 @@ def test_m3_switch_identity_exhaustive_small():
                     except ValueError:
                         continue
                     assert m3(new_lam) - m3(lam) == delta, (lam, a, b)
-                    assert switch_delta(lam, a, b) == delta
 
 
 def test_switch_move_rejects_non_moves():

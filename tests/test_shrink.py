@@ -19,7 +19,7 @@ from permword import (
     word_length_budget,
 )
 from permword import shrink
-from permword.shrink import commutator_step
+from permword.shrink import _commutator_step_counted
 
 from conftest import perm_from_cycles, run_python_O, seeded_pair
 
@@ -112,7 +112,7 @@ def test_commutator_step_shrinks_or_keeps_support_structure():
     s = lc.element.pow(lc.length)
     assert s.perm.support_size() == 7
     k = math.ceil(40 * math.log(40))
-    out = commutator_step(s, g, h, k, rng)
+    out, _ = _commutator_step_counted(s, g, h, k, rng)
     assert evaluate(out.word, g, h) == out.perm
     assert not out.perm.is_identity()
     # [s, s^sigma] moves at most 3X points, X <= |supp(s)|
@@ -125,7 +125,7 @@ def test_commutator_step_rejects_tiny_support():
     s = lc.element.pow(lc.length)
     assert s.perm.support_size() < 4
     with pytest.raises(ValueError):
-        commutator_step(s, g, h, 50, rng)
+        _commutator_step_counted(s, g, h, 50, rng)
 
 
 @pytest.mark.parametrize("seed", range(6))

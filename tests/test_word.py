@@ -17,12 +17,9 @@ from permword import (
     Pow,
     Word,
     WordElement,
-    concat,
-    empty_word,
     evaluate,
     expanded_length,
     generator_counts,
-    inverse,
     node_count,
     parse,
     power,
@@ -103,14 +100,14 @@ def test_serialize_parse_roundtrip(w):
 
 def test_empty_word_is_identity(gh):
     g, h = gh
-    assert evaluate(empty_word(), g, h).is_identity()
-    assert expanded_length(empty_word()) == 0
+    assert evaluate(Cat(()), g, h).is_identity()
+    assert expanded_length(Cat(())) == 0
 
 
 def test_inverse_and_negative_power(gh):
     g, h = gh
-    w = concat(GEN_G, Inv(GEN_H), Pow(GEN_G, 2))
-    assert evaluate(inverse(w), g, h) == evaluate(w, g, h).inverse()
+    w = Cat((GEN_G, Inv(GEN_H), Pow(GEN_G, 2)))
+    assert evaluate(Inv(w), g, h) == evaluate(w, g, h).inverse()
     assert evaluate(power(w, -2), g, h) == evaluate(w, g, h) ** -2
     assert expanded_length(power(w, -2)) == 8
 
