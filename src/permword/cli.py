@@ -273,6 +273,12 @@ def _sweep_one(parser, sub: str, n: int, seed: int, params: dict) -> tuple:
         return n, seed, False, f"{type(exc).__name__}: {exc}", ""
 
 
+SWEEP_SHAPE = (
+    "sweep config must be a JSON object {subcommand, n_range: [lo, hi], "
+    "seed_range: [lo, hi], params: {flag: value}} with integers lo <= hi"
+)
+
+
 def run_sweep(args) -> str:
     """Cross-product runner; returns CSV text. Failed rows are flagged, the
     sweep itself still exits 0."""
@@ -286,10 +292,10 @@ def run_sweep(args) -> str:
             for r in (cfg.get("n_range"), cfg.get("seed_range"))
         )
     ):
-        raise ValueError(
-            "sweep config must be a JSON object {subcommand, n_range: [lo, hi], "
-            "seed_range: [lo, hi], params: {flag: value}} with integer lo and hi"
-        )
+        raise ValueError(SWEEP_SHAPE)
+    for key in ("n_range", "seed_range"):
+        if cfg[key][0] > cfg[key][1]:
+            raise ValueError(f"{SWEEP_SHAPE}; {key} is {cfg[key]}")
     sub = cfg["subcommand"]
     if sub not in RUNNERS:
         raise ValueError(f"sweep cannot drive subcommand {sub!r}")

@@ -32,7 +32,7 @@ from .walk import (
     StepTable,
     WalkMeasure,
     gather_matrix,
-    three_cycles,
+    three_cycle_images,
     transition_tables,
     translated_class,
 )
@@ -99,16 +99,20 @@ def reference_measure(g: Permutation, h: Permutation) -> dict[Permutation, Fract
     generator walk). Otherwise the walk lives on all of Sym, and p' is the
     average of the translated classes tC and t^-1 C for an odd generator t;
     the two cosets can overlap, so masses accumulate.
+
+    The keys wrap the rows of one class image array (three_cycle_images or
+    translated_class's merged cosets), and every key shares one of at most
+    two Fraction objects: 1/|C|, or 1/(2|C|) off the overlap.
     """
     if g.degree < 3:
         raise ValueError("3-cycles need n >= 3")
     if g.is_even() and h.is_even():
-        cls = three_cycles(g.degree)
-        base = Fraction(1, len(cls))
-        return {c: base for c in cls}
+        cls = three_cycle_images(g.degree)
+        return dict.fromkeys(Permutation._raw_rows(cls), Fraction(1, cls.shape[0]))
     counts = translated_class(g if not g.is_even() else h)
     total = sum(counts.values())  # 2|C|
-    return {y: Fraction(k, total) for y, k in counts.items()}
+    masses = {k: Fraction(k, total) for k in (1, 2)}
+    return dict(zip(counts, map(masses.__getitem__, counts.values())))
 
 
 def _word_provider(
@@ -167,7 +171,10 @@ def comparison_report(
         if rng is None:
             raise ValueError("sample mode needs an rng")
         support = list(pprime.keys())
-        probs = np.array([float(pprime[y]) for y in support])
+        # the masses are a few shared Fractions: convert each once, look up by identity
+        ids = list(map(id, pprime.values()))
+        as_float = {i: float(m) for i, m in dict(zip(ids, pprime.values())).items()}
+        probs = np.array(list(map(as_float.__getitem__, ids)))
         probs /= probs.sum()
         draws = rng.choice(len(support), size=samples, p=probs)
         items = [(support[int(i)], Fraction(1, samples)) for i in draws]

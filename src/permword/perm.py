@@ -55,6 +55,20 @@ class Permutation:
         return self
 
     @classmethod
+    def _raw_rows(cls, rows: np.ndarray) -> list["Permutation"]:
+        """Wrap each row of a trusted (m, n) image array, without a copy: the
+        rows become read-only views of the one int32 array."""
+        rows = np.ascontiguousarray(rows, dtype=np.int32)
+        rows.setflags(write=False)
+        out = []
+        for img in rows:
+            self = object.__new__(cls)
+            object.__setattr__(self, "_img", img)
+            object.__setattr__(self, "_hash", None)
+            out.append(self)
+        return out
+
+    @classmethod
     def identity(cls, n: int) -> "Permutation":
         if n < 1:
             raise ValueError("degree must be at least 1")

@@ -278,13 +278,27 @@ def lazy_generator_measure(g: Permutation, h: Permutation) -> WalkMeasure:
     return WalkMeasure(atoms)
 
 
-def three_cycles(n: int) -> list[Permutation]:
-    """All 3-cycles of Sym(n), n(n-1)(n-2)/3 of them, in sorted triple order."""
-    out = []
-    for a, b, c in itertools.combinations(range(1, n + 1), 3):
-        out.append(Permutation.from_cycles(n, [(a, b, c)]))
-        out.append(Permutation.from_cycles(n, [(a, c, b)]))
+def three_cycle_images(n: int) -> np.ndarray:
+    """All 3-cycles of Sym(n) as one (n(n-1)(n-2)/3, n) int32 array of
+    0-based image rows, in sorted triple order: for each a < b < c, the
+    cycle (a b c) and then (a c b). Each call builds a new array."""
+    triples = np.fromiter(
+        itertools.chain.from_iterable(itertools.combinations(range(n), 3)), dtype=np.intp
+    ).reshape(-1, 3)
+    out = np.tile(np.arange(n, dtype=np.int32), (2 * triples.shape[0], 1))
+    row = np.arange(triples.shape[0])
+    fwd, back = out[0::2], out[1::2]  # (a b c) and its inverse (a c b)
+    a, b, c = triples.T
+    for src, dst in ((a, b), (b, c), (c, a)):
+        fwd[row, src] = dst
+        back[row, dst] = src
     return out
+
+
+def three_cycles(n: int) -> list[Permutation]:
+    """All 3-cycles of Sym(n), n(n-1)(n-2)/3 of them, in sorted triple order:
+    the rows of three_cycle_images(n), each wrapped without a copy."""
+    return Permutation._raw_rows(three_cycle_images(n))
 
 
 def three_cycle_lazy_measure(n: int) -> WalkMeasure:
@@ -545,9 +559,21 @@ class StepTable:
         return Cat(tuple(self.symbols[c] for c in codes.tolist() if c != STAY))
 
     def materialize(self, codes: np.ndarray) -> tuple[Permutation, Cat]:
-        """One row of codes as (product, word), tracking the moving steps only."""
+        """One row of codes as (product, word). The moving steps' image rows
+        are composed pairwise, halving the rows each round: about log2(k)
+        gathers over a (k, n) array for k moving steps."""
         moves = codes[codes != STAY]
-        return Permutation(self.track(moves[None, :])[0]), self.word(moves)
+        prod = self.images[moves]
+        n = prod.shape[1]
+        while prod.shape[0] > 1:
+            half = prod.shape[0] // 2
+            # row i of the next round applies row 2i, then row 2i + 1, read
+            # from the flat array at (2i + 1) * n; an odd last row rides along
+            odd_starts = np.arange(n, 2 * half * n, 2 * n, dtype=np.int32)[:, None]
+            pairs = prod.reshape(-1).take(prod[0 : 2 * half : 2] + odd_starts, mode="wrap")
+            prod = np.concatenate([pairs, prod[2 * half :]]) if prod.shape[0] & 1 else pairs
+        product = prod[0] if prod.shape[0] else self.images[STAY]
+        return Permutation(product), self.word(moves)
 
 
 def lazy_step_codes(k: int, rng: np.random.Generator, count: int) -> np.ndarray:
@@ -597,11 +623,27 @@ def translated_class(t: Permutation) -> dict[Permutation, int]:
     """Multiplicities of the translated 3-cycle classes tC and t^-1 C, keyed
     in the order t*c, then t^-1*c, over three_cycles. The two translates can
     overlap, so a key counts 1 or 2; k / (2|C|) is the mass of the reference
-    walk (tC + t^-1 C) / 2."""
-    out: dict[Permutation, int] = {}
-    cls = three_cycles(t.degree)
-    for trans in (t, t.inverse()):
-        for c in cls:
-            y = trans * c
-            out[y] = out.get(y, 0) + 1
-    return out
+    walk (tC + t^-1 C) / 2.
+
+    Each coset is one gather of three_cycle_images through t or t^-1.
+    Within a coset the rows are distinct, and t*c = t^-1*d exactly when
+    d = t^2 * c: so t*c counts twice when t^2 * c is a 3-cycle, and t^-1*d
+    is a repeat when t^-2 * d is one. A permutation is a 3-cycle when it
+    moves exactly 3 points, so the merge needs no sort of the rows.
+    """
+    n = t.degree
+    cls = three_cycle_images(n)
+    size = cls.shape[0]
+    square = t * t
+    # (s * c).images = c.images[s.images], for every row c at once
+    twice, repeat = (
+        (cls.take(s.images, axis=1) != np.arange(n)).sum(axis=1) == 3
+        for s in (square, square.inverse())
+    )
+    fresh = np.flatnonzero(~repeat)
+    rows = np.empty((size + fresh.shape[0], n), dtype=np.int32)
+    cls.take(t.images, axis=1, out=rows[:size])
+    cls[fresh].take(t.inverse().images, axis=1, out=rows[size:])
+    del cls
+    counts = (twice + 1).tolist() + [1] * fresh.shape[0]
+    return dict(zip(Permutation._raw_rows(rows), counts))

@@ -11,6 +11,8 @@ fully expanded word.
 Expanded lengths grow like 4^depth, so every count below is a plain python
 integer, and every traversal is iterative with an id-keyed memo (shared
 subwords are visited once, and deep words do not hit the recursion limit).
+Generator counts are also kept on each node, so a subword shared between
+words is counted once across them.
 """
 
 from __future__ import annotations
@@ -28,9 +30,12 @@ GENERATOR_NAMES = ("g", "h")
 
 
 class Word:
-    """Base class; nodes hash/compare by identity."""
+    """Base class; nodes hash/compare by identity. A node keeps its
+    generator counts once a fold has computed them (see generator_counts);
+    None until then."""
 
     __slots__ = ()
+    _counts = None
 
 
 @dataclass(frozen=True, eq=False)
@@ -94,8 +99,14 @@ def _reduce(
     inv: Callable[[object], object],
     pow_: Callable[[object, int], object],
     cat: Callable[[list], object],
+    cache: str | None = None,
 ):
-    """Evaluate a bottom-up fold over the DAG, iteratively, memoized by id."""
+    """Evaluate a bottom-up fold over the DAG, iteratively, memoized by id.
+
+    With `cache`, the name of a node attribute, a node whose attribute is
+    set is not descended into, and every node folded here gets its value
+    stored there: nodes are immutable, so the value holds for later folds.
+    """
     memo: dict[int, object] = {}
     stack = [w]
     while stack:
@@ -104,28 +115,31 @@ def _reduce(
         if key in memo:
             stack.pop()
             continue
-        if isinstance(node, Gen):
-            memo[key] = gen(node)
-            stack.pop()
-        elif isinstance(node, (Inv, Pow)):
-            ck = id(node.child)
-            if ck in memo:
+        value = getattr(node, cache, None) if cache else None
+        if value is None:
+            if isinstance(node, Gen):
+                value = gen(node)
+            elif isinstance(node, (Inv, Pow)):
+                ck = id(node.child)
+                if ck not in memo:
+                    stack.append(node.child)
+                    continue
                 if isinstance(node, Inv):
-                    memo[key] = inv(memo[ck])
+                    value = inv(memo[ck])
                 else:
-                    memo[key] = pow_(memo[ck], node.exponent)
-                stack.pop()
+                    value = pow_(memo[ck], node.exponent)
+            elif isinstance(node, Cat):
+                pending = [c for c in node.children if id(c) not in memo]
+                if pending:
+                    stack.extend(reversed(pending))
+                    continue
+                value = cat([memo[id(c)] for c in node.children])
             else:
-                stack.append(node.child)
-        elif isinstance(node, Cat):
-            pending = [c for c in node.children if id(c) not in memo]
-            if pending:
-                stack.extend(reversed(pending))
-            else:
-                memo[key] = cat([memo[id(c)] for c in node.children])
-                stack.pop()
-        else:
-            raise TypeError(f"not a Word node: {node!r}")
+                raise TypeError(f"not a Word node: {node!r}")
+            if cache:
+                object.__setattr__(node, cache, value)
+        memo[key] = value
+        stack.pop()
     return memo[id(w)]
 
 
@@ -196,7 +210,9 @@ def generator_counts(w: Word) -> GeneratorCounts:
     """Occurrences of g, h, g^-1, h^-1 in the expanded word.
 
     Inv swaps the counts of each generator with its inverse; the four
-    counts always sum to ``expanded_length(w)``.
+    counts always sum to ``expanded_length(w)``. Each node keeps its counts
+    once folded, like a Permutation its hash, so a subword shared between
+    words (a pool walk, a conjugator) is counted once, not once per word.
     """
 
     def do_gen(node: Gen):
@@ -213,7 +229,7 @@ def generator_counts(w: Word) -> GeneratorCounts:
         # one transposed sum per Cat; an empty Cat has no columns to sum
         return tuple(map(sum, zip(*parts))) if parts else (0, 0, 0, 0)
 
-    cg, ch, cgi, chi = _reduce(w, do_gen, do_inv, do_pow, do_cat)
+    cg, ch, cgi, chi = _reduce(w, do_gen, do_inv, do_pow, do_cat, cache="_counts")
     return GeneratorCounts(cg, ch, cgi, chi)
 
 

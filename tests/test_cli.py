@@ -349,10 +349,15 @@ def test_sweep_orders_rows_and_embeds_payloads(capsys, tmp_path):
     assert payload["gap"] == "3/4"
 
 
-def test_sweep_empty_range_header_only(capsys, tmp_path):
-    cfg = {"subcommand": "gap-exact", "n_range": [5, 4], "seed_range": [0, 0], "params": {}}
-    rows = sweep_rows(capsys, cfg, tmp_path)
-    assert rows == [["n", "seed", "ok", "error", "payload"]]
+def test_sweep_rejects_reversed_range(capsys, tmp_path):
+    path = tmp_path / "cfg.json"
+    for key, reversed_range in (("n_range", [19, 16]), ("seed_range", [2, 0])):
+        cfg = {"subcommand": "gap-exact", "n_range": [5, 5], "seed_range": [0, 0], "params": {}}
+        cfg[key] = reversed_range
+        path.write_text(json.dumps(cfg))
+        assert dispatch(["sweep", "--config", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert "must be a JSON object" in err and f"{key} is {reversed_range}" in err
 
 
 def test_sweep_flags_failed_rows_but_exits_0(capsys, tmp_path):

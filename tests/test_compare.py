@@ -2,6 +2,7 @@
 and the gap/l2 transfer bounds. The distance oracle for BFS words is a plain
 queue BFS that records distances only."""
 
+import itertools
 import math
 from collections import deque
 from fractions import Fraction
@@ -19,6 +20,8 @@ from permword import (
     gap_lower_bound,
     l2_comparison_bound,
     lazy_generator_measure,
+    random_even,
+    random_uniform,
     reference_measure,
     three_cycles,
 )
@@ -26,7 +29,7 @@ from permword import compare
 from permword.errors import InvariantError
 from permword.word import GeneratorCounts
 from permword.compare import MAX_BFS_DEGREE, MAX_EXACT_DEGREE, dense_walk_gap
-from permword.walk import Atom, WalkMeasure, generated_mask
+from permword.walk import Atom, WalkMeasure, generated_mask, translated_class
 
 from conftest import generated_group, perm_from_cycles, run_python_O, seeded_pair
 
@@ -207,3 +210,71 @@ def test_l2_comparison_bound_formula_and_monotonicity():
     assert l2_comparison_bound(k, 10.0, decay, 360) == pytest.approx(
         360 * math.exp(-k / 20.0) + decay(j) ** 2
     )
+
+
+# -- the reference class: element-by-element oracles -------------------------------
+
+
+def three_cycles_oracle(n):
+    out = []
+    for a, b, c in itertools.combinations(range(1, n + 1), 3):
+        out.append(Permutation.from_cycles(n, [(a, b, c)]))
+        out.append(Permutation.from_cycles(n, [(a, c, b)]))
+    return out
+
+
+def translated_class_oracle(t):
+    out = {}
+    cls = three_cycles_oracle(t.degree)
+    for trans in (t, t.inverse()):
+        for c in cls:
+            y = trans * c
+            out[y] = out.get(y, 0) + 1
+    return out
+
+
+def reference_measure_oracle(g, h):
+    if g.is_even() and h.is_even():
+        cls = three_cycles_oracle(g.degree)
+        return {c: Fraction(1, len(cls)) for c in cls}
+    counts = translated_class_oracle(g if not g.is_even() else h)
+    total = sum(counts.values())
+    return {y: Fraction(k, total) for y, k in counts.items()}
+
+
+def reference_pairs(n, rng):
+    """An even pair, a pair with g odd, and a pair with g even and h odd."""
+    even = random_even(n, rng), random_even(n, rng)
+    odd = random_even(n, rng) * Permutation.transposition(n, 1, 2)
+    return [even, (odd, random_uniform(n, rng)), (random_even(n, rng), odd)]
+
+
+@pytest.mark.parametrize("n", range(3, 11))
+def test_reference_class_matches_element_loops(n):
+    rng = np.random.default_rng(n)
+    assert three_cycles(n) == three_cycles_oracle(n)
+    # odd t with t = t^-1, with t^2 a double transposition, with t^2 a 3-cycle
+    odd = [Permutation.transposition(n, 1, n)]
+    if n >= 4:
+        odd.append(Permutation.from_cycles(n, [(1, 3, 2, 4)]))
+    if n >= 5:
+        odd.append(Permutation.from_cycles(n, [(2, 5), (1, 4, 3)]))
+    for g, h in reference_pairs(n, rng) + [(t, random_even(n, rng)) for t in odd]:
+        ref = reference_measure(g, h)
+        # same keys, masses and insertion order
+        assert list(ref.items()) == list(reference_measure_oracle(g, h).items())
+        assert len({id(mass) for mass in ref.values()}) <= 2  # shared Fractions
+        if not (g.is_even() and h.is_even()):
+            t = g if not g.is_even() else h
+            assert list(translated_class(t).items()) == list(translated_class_oracle(t).items())
+
+
+@pytest.mark.parametrize("n", range(3, 11))
+def test_translated_class_of_a_transposition_charges_each_key_twice(n):
+    # t = t^-1, so the two cosets coincide
+    t = Permutation.transposition(n, 2, 3)
+    size = n * (n - 1) * (n - 2) // 3
+    assert set(translated_class(t).values()) == {2}
+    ref = reference_measure(t, Permutation.identity(n))
+    assert len(ref) == size
+    assert set(ref.values()) == {Fraction(2, 2 * size)}

@@ -1,24 +1,32 @@
 """The traced benchmark harness binds package entry points by name. Every
-(module, attribute path) it wraps must resolve, so a rename that would stop
-`perfbench/run.py --trace 1` fails here first."""
+(module, attribute path) it wraps must resolve, and every name a workload
+expects to run must record a call, so a rename or a dropped call that would
+fail `perfbench/run.py --trace 1` fails here first."""
 
 import importlib
+import sys
 import types
 from pathlib import Path
 
 import pytest
 
-TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
-def _load_tracing():
-    # executed from source, so no bytecode cache is written next to it
-    module = types.ModuleType("perfbench_tracing")
-    exec(compile(TRACING.read_text(encoding="utf-8"), str(TRACING), "exec"), vars(module))
+def _load(filename):
+    # executed from source, so no bytecode cache is written next to it;
+    # registered while it runs, as dataclasses look their module up
+    path = PERFBENCH / filename
+    name = "perfbench_" + path.stem
+    module = sys.modules[name] = types.ModuleType(name)
+    try:
+        exec(compile(path.read_text(encoding="utf-8"), str(path), "exec"), vars(module))
+    finally:
+        del sys.modules[name]
     return module
 
 
-tracing = _load_tracing()
+tracing = _load("tracing.py")
 
 
 @pytest.mark.parametrize(
@@ -33,3 +41,29 @@ def test_traced_entry_point_resolves(modname, path):
     for part in outer:
         owner = getattr(owner, part)
     assert callable(vars(owner)[attr])
+
+
+def test_workload_expected_calls_all_record_a_call(tmp_path):
+    """One synth_stream pair's set-up and round, then one batch round, traced.
+    This catches an expected entry point renamed or no longer called; it
+    says nothing of the run's coverage."""
+    workloads = _load("workloads.py")
+    synth = workloads.SynthStream(1, str(tmp_path))
+    synth.pairs = 1
+    batch = workloads.Batch(1, str(tmp_path))
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        synth.setup(lambda: None)
+        ops = synth.setup_ops + synth.run_round(0, lambda: None)
+        batch.setup(lambda: None)
+        ops += batch.setup_ops + batch.run_round(0, lambda: None)
+    finally:
+        tracer.uninstall()
+        batch.close()
+    assert tracer.leftovers() == []
+    assert [op.error for op in ops if op.error] == []
+    expected = set(workloads.SynthStream.expected_calls + workloads.Batch.expected_calls)
+    if sys.flags.optimize:
+        expected.discard("word.evaluate")  # synthesize reaches it only through an assert
+    assert sorted(name for name in expected if not tracer.calls.get(name)) == []

@@ -452,3 +452,25 @@ def test_gather_matrix_symmetric_stochastic_one_step():
     assert np.allclose(M.sum(axis=1), 1.0)
     start = Distribution.point_mass(group).probs
     assert np.array_equal(M @ start, evolve_exact(m, group, 1).probs)
+
+
+@pytest.mark.parametrize("n", [5, 19, 300])
+def test_materialize_matches_step_by_step_product(n):
+    """Oracle: the moving steps multiplied one at a time, first step first."""
+    rng = np.random.default_rng(n)
+    steps = StepTable.of(random_uniform(n, rng), random_uniform(n, rng))
+    moving = [Permutation(img) for img in steps.images[:STAY]]
+    rows = [np.full(k, STAY, dtype=np.int8) for k in (0, 1, 6)]  # no moves at all
+    for moves in (1, 2, 7, 64, 117):  # one move, even and odd counts
+        codes = np.full(2 * moves, STAY, dtype=np.int8)
+        codes[rng.choice(2 * moves, size=moves, replace=False)] = rng.integers(0, STAY, moves)
+        rows.append(codes)
+    for codes in rows:
+        want = Permutation.identity(n)
+        for c in codes.tolist():
+            if c != STAY:
+                want = want * moving[c]
+        p, w = steps.materialize(codes)
+        assert p == want
+        assert serialize(w) == serialize(steps.word(codes))
+        assert len(w.children) == int((codes != STAY).sum())

@@ -205,3 +205,27 @@ def test_parse_errors():
     for bad in ("", "x", "g^", "(g", "g)", "g^-", "g**2"):
         with pytest.raises(WordParseError):
             parse(bad)
+
+
+def shared_words():
+    """Two words sharing subwords under Inv and Pow, and a third sharing
+    nodes with both."""
+    base = Cat((GEN_G, Inv(GEN_H), GEN_G, GEN_H))
+    shared = Pow(Inv(base), 3)
+    first = Cat((shared, Inv(shared), Pow(base, 2), GEN_H))
+    second = Cat((Inv(Pow(shared, 4)), base, Pow(Inv(first), 2), Inv(GEN_G)))
+    third = Pow(Cat((Inv(second), shared, first)), 5)
+    return [first, second, third]
+
+
+@pytest.mark.parametrize("order", [(0, 1, 2), (2, 1, 0), (1, 2, 0)])
+def test_generator_counts_of_shared_subwords_match_fresh_nodes(order):
+    words = shared_words()
+    for i in order:
+        fresh = parse(serialize(words[i]))
+        assert fresh._counts is None  # no node of a parsed word is counted yet
+        assert generator_counts(words[i]) == generator_counts(fresh)
+    # counting again reads the cached counts and agrees
+    for w in words:
+        assert generator_counts(w) == generator_counts(parse(serialize(w)))
+        assert generator_counts(w).total == expanded_length(w)
