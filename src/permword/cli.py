@@ -38,7 +38,7 @@ from .perm import (
     random_even,
     random_uniform,
 )
-from .schreier import TupleGraph, estimate_gap
+from .schreier import MAX_VERTICES, TupleGraph, estimate_gap
 from .word import expanded_length, node_count, serialize
 
 _BUILD_ID: str | None = None
@@ -227,7 +227,7 @@ def run_synth(args) -> dict:
 def run_compare(args) -> dict:
     g, h, rng = _seeded_pair(args.n, args.seed)
     ctx = None
-    if args.n > compare_mod.MAX_BFS_DEGREE:
+    if math.perm(args.n, compare_mod.regular_tuple_length(g, h)) > MAX_VERTICES:
         ctx = synth_mod.prepare_context(g, h, rng)
     rep = compare_mod.comparison_report(g, h, ctx, args.mode, rng)
     out = asdict(rep)

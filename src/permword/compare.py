@@ -11,13 +11,14 @@ constant
 
 with |y| the expanded word length and N(s, y) the number of occurrences of
 the symbol s, and then delta(p) >= delta(p') / A (Diaconis and
-Saloff-Coste 1993).
+Saloff-Coste 1993). The words are shortest ones, from the breadth-first
+tree of <g, h> on a tuple graph it acts on freely, while that graph fits
+under schreier.MAX_VERTICES (n <= 10); above, they are synthesized.
 """
 
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
@@ -25,23 +26,21 @@ from typing import Callable
 import numpy as np
 
 from .errors import InvariantError
-from .perm import Permutation
+from .perm import Permutation, format_permutation
+from .schreier import TupleGraph
 from .walk import (
-    STAY,
     DenseGroup,
-    StepTable,
     WalkMeasure,
     gather_matrix,
     three_cycle_images,
     transition_tables,
     translated_class,
 )
-from .word import Cat, Word, generator_counts
+from .word import Word, evaluate, generator_counts
 from .synth import SynthContext, synthesize
 
 __all__ = [
     "ComparisonReport",
-    "bfs_words",
     "reference_measure",
     "comparison_report",
     "gap_lower_bound",
@@ -49,7 +48,6 @@ __all__ = [
     "dense_walk_gap",
 ]
 
-MAX_BFS_DEGREE = 8
 MAX_EXACT_DEGREE = 14
 
 
@@ -63,33 +61,6 @@ class ComparisonReport:
     words_used: int
     max_word_length: int
     sample_error: float | None = None
-
-
-def bfs_words(g: Permutation, h: Permutation) -> dict[Permutation, Word]:
-    """Shortest words for every element of <g, h>, breadth first.
-
-    Degree capped at 8 (the table holds the whole group). This is the word
-    provider below the synthesis pipeline's feasible range: no cycle type
-    with longest cycle l >= 3n/4 and l-nondividing remainder exists there.
-    """
-    if g.degree != h.degree:
-        raise ValueError("generator degree mismatch")
-    if g.degree > MAX_BFS_DEGREE:
-        raise ValueError(f"breadth-first word tables need degree <= {MAX_BFS_DEGREE}")
-    steps = StepTable.of(g, h)
-    moves = [(sym, Permutation(img)) for sym, img in zip(steps.symbols, steps.images[:STAY])]
-    ident = Permutation.identity(g.degree)
-    words: dict[Permutation, Word] = {ident: Cat(())}
-    queue: deque[Permutation] = deque([ident])
-    while queue:
-        cur = queue.popleft()
-        wcur = words[cur]
-        for sym, step in moves:
-            nxt = cur * step
-            if nxt not in words:
-                words[nxt] = Cat((wcur, sym))
-                queue.append(nxt)
-    return words
 
 
 def reference_measure(g: Permutation, h: Permutation) -> dict[Permutation, Fraction]:
@@ -115,18 +86,33 @@ def reference_measure(g: Permutation, h: Permutation) -> dict[Permutation, Fract
     return dict(zip(counts, map(masses.__getitem__, counts.values())))
 
 
+def regular_tuple_length(g: Permutation, h: Permutation) -> int:
+    """The ell on which <g, h> acts freely, fewest vertices first: Alt(n)
+    acts regularly on injective (n-2)-tuples and Sym(n) on (n-1)-tuples, so
+    n - 2 for an even pair and n - 1 otherwise (at least 1)."""
+    return max(1, g.degree - (2 if g.is_even() and h.is_even() else 1))
+
+
 def _word_provider(
     g: Permutation, h: Permutation, ctx: SynthContext | None
 ) -> Callable[[Permutation], Word]:
     if ctx is not None:
         return lambda y: synthesize(ctx, y)
-    table = bfs_words(g, h)
+    ell = regular_tuple_length(g, h)
+    graph = TupleGraph(g, h, ell)
+    tree = graph.tree()
 
     def lookup(y: Permutation) -> Word:
-        try:
-            return table[y]
-        except KeyError:
-            raise ValueError("reference element outside <g, h>") from None
+        x = int(graph.rank_rows(y.images[None, :ell])[0])
+        if tree.codes[x] < 0:
+            raise ValueError(
+                f"reference element {format_permutation(y)} lies outside <g, h>, "
+                f"a group of order {np.count_nonzero(tree.codes >= 0)}"
+            )
+        word = tree.steps.word(np.array(tree.path_from_root(x)))
+        if evaluate(word, g, h) != y:
+            raise InvariantError(f"tree word for {format_permutation(y)} evaluates elsewhere")
+        return word
 
     return lookup
 
@@ -151,9 +137,11 @@ def comparison_report(
     """The comparison constant A (an exact Fraction in exact mode), the gap
     bound it transfers, and the statistics of the words behind it.
 
-    ctx None selects breadth-first word tables (degree <= 8); otherwise
-    every reference element is synthesized through the context. Synthesis
-    failures propagate.
+    ctx None takes shortest words from the tree of <g, h> on the tuples it
+    acts on freely (TupleGraph.tree, n <= 10), each checked by evaluating
+    it; an element outside <g, h> is a ValueError naming |<g, h>|.
+    Otherwise every reference element is synthesized through the context.
+    Synthesis failures propagate.
     """
     n = g.degree
     pprime = reference_measure(g, h)

@@ -28,16 +28,16 @@ class Permutation:
     __slots__ = ("_img", "_hash")
 
     def __init__(self, images: Iterable[int]):
-        img = np.asarray(images, dtype=np.int64)
+        img = np.asarray(images)
         if img.ndim != 1:
             raise ValueError("images must be one-dimensional")
         n = img.shape[0]
         if n == 0:
             raise ValueError("degree must be at least 1")
-        counts = np.bincount(img, minlength=n) if img.min(initial=0) >= 0 else None
-        if counts is None or counts.shape[0] != n or not (counts == 1).all():
-            raise ValueError("images must be a permutation of 0..n-1")
-        img = np.ascontiguousarray(img, dtype=np.int32)
+        # a bin count of all ones, n of them, is exactly a permutation of 0..n-1
+        if img.dtype.kind not in "iu" or img.min() < 0 or (np.bincount(img) != 1).any():
+            raise ValueError("images must be integers permuting 0..n-1")
+        img = img.astype(np.int32)  # a private copy, whatever the caller holds
         img.setflags(write=False)
         object.__setattr__(self, "_img", img)
         object.__setattr__(self, "_hash", None)

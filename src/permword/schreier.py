@@ -3,8 +3,9 @@
 The graph's vertices are the injective ell-tuples over {1..n}; the edge
 multiset at x is {x^g, x^(g^-1), x^h, x^(h^-1)} acting coordinatewise, kept
 as a 4-row neighbor table that the Lanczos eigenvalue estimator works off
-through the adjacency kernel. A breadth-first tree on ordered pairs of points
-builds the shrink's conjugators and certifies that the pair is 2-transitive.
+through the adjacency kernel. Breadth-first step trees (walk.level_bfs) on
+ordered pairs of points build the shrink's conjugators and certify that the
+pair is 2-transitive; on a whole tuple graph they give shortest words.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -25,6 +26,7 @@ from .walk import (
     gather_matrix,
     injective_tuples,
     lazy_step_codes,
+    level_bfs,
     lex_codes,
     lex_lookup,
 )
@@ -81,6 +83,12 @@ class TupleGraph:
         if self.num_vertices > 20_000:
             raise ValueError("dense form too large")
         return gather_matrix(self.neighbors, np.full(4, 0.25))
+
+    def tree(self) -> "StepTree":
+        """Breadth-first step tree from vertex 0, the tuple (1, 2, ..., ell)."""
+        moves = functools.partial(self.neighbors.take, axis=1)
+        codes, depth = level_bfs(moves, STAY, self.num_vertices, 0)
+        return StepTree(StepTable.of(self.g, self.h), moves, codes, depth)
 
 
 # A Lanczos step whose new off-diagonal beta is at most this has closed the
@@ -291,57 +299,58 @@ def estimate_gap(
     )
 
 
-# -- conjugators from a tree on ordered pairs ------------------------------------
+# -- step trees and the conjugators they build ------------------------------------
 
 
 @dataclass(frozen=True, eq=False)
-class PairTree:
-    """Breadth-first tree of <g, h> on ordered pairs of distinct points from
-    (1, 2): codes[a, b] is the step reaching 0-based (a, b), STAY at the root."""
+class StepTree:
+    """Breadth-first tree of <g, h> on flat vertex ids: codes and depth as
+    walk.level_bfs returns them (STAY at the root), moves(xs) the (4, len(xs))
+    neighbours of xs under `steps`, whose symbols every word of the tree shares."""
 
     steps: StepTable
+    moves: Callable[[np.ndarray], np.ndarray]
     codes: np.ndarray
     depth: int  # the deepest level, so no path to the root is longer
 
-    def path_to_root(self, a: int, b: int) -> list[int]:
-        """Step codes moving the 0-based pair (a, b) up to the root (at most depth)."""
+    def path_to_root(self, x: int) -> list[int]:
+        """Step codes moving vertex x up to the root (at most depth)."""
         back: list[int] = []
-        while len(back) < self.depth and (c := int(self.codes[a, b])) != STAY:
+        while len(back) < self.depth and (c := int(self.codes[x])) != STAY:
             back.append(c ^ 1)  # the inverse step: g <-> g^-1, h <-> h^-1
-            a, b = self.steps.images[c ^ 1, [a, b]]
+            x = int(self.moves(np.array([x]))[c ^ 1, 0])
         return back
+
+    def path_from_root(self, x: int) -> list[int]:
+        """Step codes moving the root down to vertex x."""
+        return [c ^ 1 for c in reversed(self.path_to_root(x))]
 
 
 @functools.lru_cache(maxsize=1)
-def pair_tree(g: Permutation, h: Permutation) -> PairTree:
-    """The pair's tree on ordered pairs; ValueError unless it reaches all
-    n(n-1), that is unless <g, h> is 2-transitive, as Alt(n) (n >= 4) and
-    Sym(n) are. Cached, so a shrink's words share their Inv(g), Inv(h) nodes."""
+def pair_tree(g: Permutation, h: Permutation) -> StepTree:
+    """The pair's tree on ordered pairs, 0-based (a, b) at vertex a * n + b,
+    rooted at (0, 1); ValueError unless it reaches all n(n-1), that is unless
+    <g, h> is 2-transitive, as Alt(n) (n >= 4) and Sym(n) are. Cached, so a
+    shrink's words share their Inv(g), Inv(h) nodes."""
     steps, n = StepTable.of(g, h), g.degree
     if n < 2:
         raise ValueError("ordered pairs of distinct points need n >= 2")
-    images = steps.images.astype(np.intp)
-    flat = np.full(n * n, -1, dtype=np.int8)  # codes of pair (a, b) at a * n + b
-    flat[1] = STAY
-    frontier, depth = np.array([1]), -1
-    while frontier.size:
-        depth += 1
-        a, b = np.divmod(frontier, n)
-        level = []
-        for c in range(STAY):
-            x = images[c, a] * n + images[c, b]
-            x = x[flat[x] < 0]  # a step permutes the pairs, so x has no repeats
-            flat[x] = c
-            level.append(x)
-        frontier = np.concatenate(level)
-    reached = int(np.count_nonzero(flat >= 0))
+    images = steps.images[:STAY].astype(np.intp)
+    firsts = images * n  # the first point's share of a pair's vertex id
+
+    def moves(x: np.ndarray) -> np.ndarray:
+        a, b = np.divmod(x, n)
+        return firsts.take(a, axis=1) + images.take(b, axis=1)
+
+    codes, depth = level_bfs(moves, STAY, n * n, 1)
+    reached = int(np.count_nonzero(codes >= 0))
     if reached < n * (n - 1):
         raise ValueError(
             f"<g, h> is not 2-transitive, so generates neither Alt({n}) nor Sym({n}): "
             f"its tree reaches {reached} of the {n * (n - 1)} ordered pairs"
         )
-    flat.setflags(write=False)
-    return PairTree(steps, flat.reshape(n, n), depth)
+    codes.setflags(write=False)
+    return StepTree(steps, moves, codes, depth)
 
 
 def _conditioned_walk_counted(
@@ -366,8 +375,8 @@ def _conditioned_walk_counted(
     tree = pair_tree(g, h)
     rho = lazy_step_codes(k, rng, 1)[0]
     u = kernels.track_points(tree.steps.images, rho[None, :], np.array([y1, y2]) - 1)[0]
-    down = [c ^ 1 for c in reversed(tree.path_to_root(t1 - 1, t2 - 1))]
-    row = np.concatenate([rho, np.array(tree.path_to_root(*u) + down, dtype=np.int8)])
+    path = tree.path_to_root(int(u[0]) * n + int(u[1])) + tree.path_from_root((t1 - 1) * n + t2 - 1)
+    row = np.concatenate([rho, np.array(path, dtype=np.int8)])
     sigma, word = tree.steps.materialize(row)
     if sigma.apply(y1) != t1 or sigma.apply(y2) != t2:
         raise InvariantError(f"conjugator misses its constraints {list(constraints)}")

@@ -24,7 +24,7 @@ import functools
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -602,21 +602,37 @@ def gather_matrix(idx: np.ndarray, weights: np.ndarray) -> np.ndarray:
     return M
 
 
+def level_bfs(moves: Callable, count: int, size: int, root: int) -> tuple[np.ndarray, int]:
+    """Breadth-first tree over vertices 0..size-1 from root, a level at a
+    time; moves(xs) is the (count, len(xs)) array of the neighbours of xs
+    under steps 0..count-1, each a permutation of the vertices. Returns
+    (codes, depth): codes[x] is the lowest step reaching x from the level
+    above, count at the root, -1 where unreached; depth is the deepest level."""
+    codes = np.full(size, -1, dtype=np.min_scalar_type(-count - 1))
+    codes[root] = count
+    frontier, depth = np.array([root]), -1
+    while frontier.size:
+        depth += 1
+        level = []
+        for c, x in enumerate(moves(frontier)):
+            x = x[codes[x] < 0]  # a step permutes the vertices, so x has no repeats
+            codes[x] = c
+            level.append(x)
+        frontier = np.concatenate(level)
+    return codes, depth
+
+
 def generated_mask(gens: Sequence[Permutation], group: DenseGroup) -> np.ndarray:
-    """Rows of `group` in the subgroup <gens>: the fixpoint of
-    reached |= reached[idx].any(axis=0) from the identity over the gens'
-    transition tables (z is reached once z * s^-1 is). Inverses are not
-    needed, since a finite semigroup of permutations is a group."""
+    """Rows of `group` in the subgroup <gens>: the vertices that a
+    breadth-first tree from the identity reaches over the gens' transition
+    tables (z joined to z * s^-1). Inverses are not needed, since a finite
+    semigroup of permutations is a group."""
     distinct = list(dict.fromkeys(gens))
     m = WalkMeasure(Atom(p, 1.0 / len(distinct)) for p in distinct)
     idx, _ = transition_tables(m, group)
-    reached = np.zeros(group.size, dtype=bool)
-    reached[group.identity_index] = True
-    while True:
-        grown = reached | reached[idx].any(axis=0)
-        if np.array_equal(grown, reached):
-            return reached
-        reached = grown
+    moves = functools.partial(idx.take, axis=1)
+    codes, _ = level_bfs(moves, len(distinct), group.size, group.identity_index)
+    return codes >= 0
 
 
 def translated_class(t: Permutation) -> dict[Permutation, int]:

@@ -4,6 +4,7 @@ import csv
 import hashlib
 import io
 import json
+from fractions import Fraction
 
 import pytest
 
@@ -318,6 +319,13 @@ def test_compare_bound_is_below_dense_gap(capsys, seed):
     g, h, _ = seeded_pair(5, seed)
     group = generated_group(g, h)
     assert rec["payload"]["gap_lower_bound"] <= dense_walk_gap(lazy_generator_measure(g, h), group)
+
+
+def test_compare_takes_tree_words_up_to_n_10(capsys):
+    # below the tuple graph's vertex cap the words are geodesic, not synthesized
+    code, rec = run_record(capsys, ["compare", "--n", "9", "--seed", "0", "--mode", "exact"])
+    assert code == 0
+    assert Fraction(rec["payload"]["A"]) < 1000
 
 
 def test_schreier_payload(capsys):

@@ -1,6 +1,6 @@
-"""Comparison machinery: word tables, reference measures, the constant A,
-and the gap/l2 transfer bounds. The distance oracle for BFS words is a plain
-queue BFS that records distances only."""
+"""Comparison machinery: tree words, reference measures, the constant A,
+and the gap/l2 transfer bounds. The distance oracle for tree words is a
+plain queue BFS over permutations that records distances only."""
 
 import itertools
 import math
@@ -13,7 +13,7 @@ import pytest
 from permword import (
     DenseGroup,
     Permutation,
-    bfs_words,
+    TupleGraph,
     comparison_report,
     evaluate,
     expanded_length,
@@ -25,10 +25,10 @@ from permword import (
     reference_measure,
     three_cycles,
 )
-from permword import compare
+from permword import compare, schreier
 from permword.errors import InvariantError
 from permword.word import GeneratorCounts
-from permword.compare import MAX_BFS_DEGREE, MAX_EXACT_DEGREE, dense_walk_gap
+from permword.compare import MAX_EXACT_DEGREE, dense_walk_gap, regular_tuple_length
 from permword.walk import Atom, WalkMeasure, generated_mask, translated_class
 
 from conftest import generated_group, perm_from_cycles, run_python_O, seeded_pair
@@ -50,20 +50,63 @@ def bfs_distances(g, h):
     return dist
 
 
-def test_bfs_words_are_shortest_and_exact():
-    g, h, _ = seeded_pair(5, 0)
-    words = bfs_words(g, h)
-    oracle = bfs_distances(g, h)
-    assert set(words) == set(oracle)
-    for p, w in words.items():
-        assert evaluate(w, g, h) == p
-        assert expanded_length(w) == oracle[p]
+@pytest.mark.parametrize("n", [5, 6, 7])
+def test_tree_words_are_shortest_and_exact(n):
+    # a seeded pair and an even generating pair: the tree reaches one vertex
+    # per element of <g, h>, and compare's word for each element evaluates
+    # back to it at its distance from the identity
+    for g, h in (seeded_pair(n, 0)[:2], even_even_pair(n)[:2]):
+        oracle = bfs_distances(g, h)
+        graph = TupleGraph(g, h, regular_tuple_length(g, h))
+        assert np.count_nonzero(graph.tree().codes >= 0) == len(oracle)
+        word_of = compare._word_provider(g, h, None)
+        for p, dist in oracle.items():
+            w = word_of(p)
+            assert evaluate(w, g, h) == p
+            assert expanded_length(w) == dist
 
 
-def test_bfs_words_degree_cap():
-    g, h, _ = seeded_pair(9, 0)
-    with pytest.raises(ValueError):
-        bfs_words(g, h)
+def test_tree_words_vertex_cap():
+    # at n = 11 the tuple graph of Alt(11) or Sym(11) exceeds MAX_VERTICES
+    g = perm_from_cycles(11, tuple(range(1, 12)))
+    for h in (perm_from_cycles(11, (1, 2, 3)), perm_from_cycles(11, (1, 2))):
+        with pytest.raises(ValueError, match=f"exceeds the {schreier.MAX_VERTICES} cap"):
+            comparison_report(g, h, None, "exact")
+
+
+def test_elements_outside_the_group_name_its_order():
+    # AGL(1, 7): x -> x + 1 and x -> 3x mod 7 generate a group of order 42
+    g = Permutation([(x + 1) % 7 for x in range(7)])
+    h = Permutation([3 * x % 7 for x in range(7)])
+    with pytest.raises(ValueError, match="a group of order 42"):
+        comparison_report(g, h, None, "exact")
+
+
+def test_tree_word_check_survives_python_O():
+    # a tree whose codes swap the g and h steps gives words that evaluate
+    # elsewhere; python -O strips asserts, the check must still run
+    code = """
+        import numpy as np
+        from permword import InvariantError, Permutation, compare, schreier
+
+        tree_of = schreier.TupleGraph.tree
+
+        def bad_tree(graph):
+            tree = tree_of(graph)
+            moving = (tree.codes >= 0) & (tree.codes < schreier.STAY)
+            codes = np.where(moving, tree.codes ^ 2, tree.codes)
+            return schreier.StepTree(tree.steps, tree.moves, codes, tree.depth)
+
+        schreier.TupleGraph.tree = bad_tree
+        g = Permutation.from_cycles(5, [(1, 2)])
+        h = Permutation.from_cycles(5, [(1, 2, 3, 4, 5)])
+        try:
+            compare.comparison_report(g, h, None, "exact")
+            print(__debug__, "returned")
+        except InvariantError:
+            print(__debug__, "InvariantError")
+        """
+    assert run_python_O(code) == ["False", "InvariantError"]
 
 
 def even_even_pair(n, start_seed=0):
@@ -107,13 +150,12 @@ def test_reference_measure_mixed_pair_translated_class():
 
 def test_compute_A_exact_fraction_and_bounds():
     g, h, _ = mixed_pair(5)
-    A = comparison_report(g, h, None, "exact").A
-    assert isinstance(A, Fraction) and A > 0
-    words = bfs_words(g, h)
-    max_len = max(
-        expanded_length(words[p]) for p in reference_measure(g, h)
-    )
-    assert A <= 8 * Fraction(max_len) ** 2
+    rep = comparison_report(g, h, None, "exact")
+    assert isinstance(rep.A, Fraction) and rep.A > 0
+    word_of = compare._word_provider(g, h, None)
+    max_len = max(expanded_length(word_of(p)) for p in reference_measure(g, h))
+    assert rep.max_word_length == max_len
+    assert rep.A <= 8 * Fraction(max_len) ** 2
 
 
 def test_A_bound_check_survives_python_O(monkeypatch):
@@ -155,7 +197,7 @@ def test_compute_A_rejects_big_exact_degree():
     ctx = prepare_context(g, h, rng)
     with pytest.raises(ValueError):
         comparison_report(g, h, ctx, "exact")
-    assert MAX_EXACT_DEGREE == 14 and MAX_BFS_DEGREE == 8
+    assert MAX_EXACT_DEGREE == 14
 
 
 def test_comparison_report_fields():

@@ -53,6 +53,17 @@ def test_apply_and_preimage_are_one_based_and_inverse():
         p.apply(5)
 
 
+@pytest.mark.parametrize("images", [[0, 1.9], [1.7, 0.2, 2.5], ["1", "0"], [True, False]])
+def test_non_integer_images_are_rejected(images):
+    with pytest.raises(ValueError, match="integers permuting"):
+        Permutation(images)
+
+
+def test_integer_images_of_any_width_are_accepted():
+    for dtype in (np.int8, np.int32, np.int64, np.uint16):
+        assert Permutation(np.array([1, 0, 2], dtype=dtype)) == Permutation([1, 0, 2])
+
+
 def test_conjugate_relabels_support():
     p = Permutation.from_cycles(5, [(1, 2, 3)])
     r = Permutation.from_cycles(5, [(1, 4), (3, 5)])

@@ -360,7 +360,7 @@ def test_conjugator_check_survives_python_O():
         g, h = random_uniform(20, rng), random_uniform(20, rng)
         tree = schreier.pair_tree(g, h)
         codes = np.where(tree.codes < schreier.STAY, tree.codes ^ 2, tree.codes)
-        bad = schreier.PairTree(tree.steps, codes, tree.depth)
+        bad = schreier.StepTree(tree.steps, tree.moves, codes, tree.depth)
         schreier.pair_tree = lambda g, h: bad
         try:
             schreier.conditioned_walk(g, h, 20, [(1, 2), (3, 4)], rng)

@@ -64,6 +64,4 @@ def test_workload_expected_calls_all_record_a_call(tmp_path):
     assert tracer.leftovers() == []
     assert [op.error for op in ops if op.error] == []
     expected = set(workloads.SynthStream.expected_calls + workloads.Batch.expected_calls)
-    if sys.flags.optimize:
-        expected.discard("word.evaluate")  # synthesize reaches it only through an assert
     assert sorted(name for name in expected if not tracer.calls.get(name)) == []

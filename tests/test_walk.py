@@ -429,6 +429,14 @@ def test_generated_mask_sizes():
     assert alt4.sum() == 12
 
 
+def test_generated_mask_takes_more_generators_than_int8_codes_hold():
+    # 200 distinct even generators of Sym(6): their step codes need int16
+    sym6 = DenseGroup("sym", 6)
+    evens = [sym6.perm_at(int(i)) for i in np.flatnonzero(sym6.even_mask())[:200]]
+    assert np.array_equal(generated_mask(evens, sym6), sym6.even_mask())
+    assert generated_mask(evens + [perm_from_cycles(6, (1, 2))], sym6).all()
+
+
 def test_transition_tables_built_once_per_measure_and_group():
     m = three_cycle_lazy_measure(4)
     alt4 = DenseGroup("alt", 4)
