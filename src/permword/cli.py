@@ -288,14 +288,22 @@ def run_sweep(args) -> str:
         isinstance(cfg, dict)
         and isinstance(cfg.get("params", {}), dict)
         and all(
-            isinstance(r, list) and len(r) == 2 and all(isinstance(x, int) for x in r)
+            isinstance(r, list) and len(r) == 2
             for r in (cfg.get("n_range"), cfg.get("seed_range"))
         )
     ):
         raise ValueError(SWEEP_SHAPE)
     for key in ("n_range", "seed_range"):
-        if cfg[key][0] > cfg[key][1]:
-            raise ValueError(f"{SWEEP_SHAPE}; {key} is {cfg[key]}")
+        lo, hi = cfg[key]
+        # a JSON boolean is a Python int, so test the type itself
+        if type(lo) is not int or type(hi) is not int or lo > hi:
+            raise ValueError(f"{SWEEP_SHAPE}; {key} is {json.dumps(cfg[key])}")
+    for key in cfg.get("params", {}):
+        # every row sets --n and --seed itself; argparse keeps the last value
+        # and also takes a prefix of --seed
+        name = str(key).replace("_", "-")
+        if name == "n" or (name and "seed".startswith(name)):
+            raise ValueError(f"{SWEEP_SHAPE}; params sets {key!r}, which each row takes from a range")
     sub = cfg["subcommand"]
     if sub not in RUNNERS:
         raise ValueError(f"sweep cannot drive subcommand {sub!r}")

@@ -28,14 +28,7 @@ import numpy as np
 from .errors import InvariantError
 from .perm import Permutation, format_permutation
 from .schreier import TupleGraph
-from .walk import (
-    DenseGroup,
-    WalkMeasure,
-    gather_matrix,
-    three_cycle_images,
-    transition_tables,
-    translated_class,
-)
+from .walk import three_cycle_images, translated_class
 from .word import Word, evaluate, generator_counts
 from .synth import SynthContext, synthesize
 
@@ -45,7 +38,6 @@ __all__ = [
     "comparison_report",
     "gap_lower_bound",
     "l2_comparison_bound",
-    "dense_walk_gap",
 ]
 
 MAX_EXACT_DEGREE = 14
@@ -225,10 +217,3 @@ def l2_comparison_bound(
         raise ValueError("comparison constant must be positive")
     j = round(k / (2 * A))
     return group_order * math.exp(-k / (2 * A)) + reference_decay(j) ** 2
-
-
-def dense_walk_gap(m: WalkMeasure, group: DenseGroup) -> float:
-    """Ordering spectral gap 1 - lambda_2 of a symmetric measure's walk,
-    by dense eigensolve over an enumerated group (oracle-sized groups)."""
-    eig = np.linalg.eigvalsh(gather_matrix(*transition_tables(m, group)))
-    return float(1.0 - eig[-2])

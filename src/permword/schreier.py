@@ -23,7 +23,6 @@ from .perm import Permutation
 from .walk import (
     STAY,
     StepTable,
-    gather_matrix,
     injective_tuples,
     lazy_step_codes,
     level_bfs,
@@ -77,12 +76,6 @@ class TupleGraph:
     def apply_adjacency(self, f: np.ndarray) -> np.ndarray:
         """Normalized adjacency: average of f over the 4 neighbor slots."""
         return kernels.adjacency_apply(f, self.neighbors)
-
-    def dense_adjacency(self) -> np.ndarray:
-        """Explicit matrix, for oracle-sized graphs only."""
-        if self.num_vertices > 20_000:
-            raise ValueError("dense form too large")
-        return gather_matrix(self.neighbors, np.full(4, 0.25))
 
     def tree(self) -> "StepTree":
         """Breadth-first step tree from vertex 0, the tuple (1, 2, ..., ell)."""

@@ -3,10 +3,12 @@
 Pipeline: shrink the generators to a 3-cycle ``kappa`` parked inside a long
 cycle ``v`` and label the cycle points 1..l. Any labeled 3-cycle is then a
 commutator of two "edge atoms" kappa^{v^s gamma}, with gamma drawn from a
-pool of short random walks. An arbitrary target factors into 3-cycles; a
-factor off the cycle, or one whose edges the pool misses, is moved by a
-fresh short walk and asked for again. Every intermediate carries its word,
-so the final word evaluates to the target exactly rather than approximately.
+pool of short random walks. An odd target first spends the odd step of
+the pair that leaves the least support; the even rest factors into
+3-cycles, and a factor off the cycle, or one whose edges the pool misses,
+is moved by a fresh short walk and asked for again. Every intermediate
+carries its word, so the final word evaluates to the target exactly rather
+than approximately.
 """
 
 from __future__ import annotations
@@ -19,10 +21,8 @@ from .errors import InvariantError, RetryExhaustedError
 from .perm import Permutation, three_cycle_factorization
 from .shrink import LongCycleElement, shrink_support, walk_length
 from .schreier import conditioned_walk
-from .walk import StepTable, lazy_step_codes, sample_walk
+from .walk import STAY, StepTable, lazy_step_codes, sample_walk
 from .word import (
-    GEN_G,
-    GEN_H,
     Cat,
     Inv,
     Word,
@@ -93,7 +93,6 @@ class SynthContext:
     walk_k: int  # walk length, also the walk count each relocation may draw
     steps: StepTable
     kappa_labels: tuple[int, int, int] = (0, 0, 0)
-    parity_witness: WordElement | None = None
     # gamma pool, one row per walk: step codes, images, preimage label row;
     # pool_used holds the walks atoms have used, made once so they share words
     pool_gammas: np.ndarray | None = None
@@ -237,10 +236,6 @@ def prepare_context(
     if placed[0] is not None:
         ctx.kappa = kappa.conjugated_by(placed[0])
     ctx.kappa_labels = _kappa_labels(ctx.kappa.perm, ctx.labeling)
-    if not g.is_even():
-        ctx.parity_witness = WordElement(GEN_G, g)
-    elif not h.is_even():
-        ctx.parity_witness = WordElement(GEN_H, h)
     _extend_pool(ctx, POOL_INIT)
     return ctx
 
@@ -370,22 +365,37 @@ def _factor_word(ctx: SynthContext, factor: Permutation) -> Word:
     raise RetryExhaustedError("no placement of a 3-cycle factor inside the cycle was realized")
 
 
+def _parity_witness(ctx: SynthContext, target: Permutation) -> tuple[Word, Permutation]:
+    """(symbol, remainder) for an odd target: over the odd steps w among g,
+    g^-1, h, h^-1, the one whose remainder w^-1 * target moves the fewest
+    points, ties to the lowest code. ValueError when both generators are even
+    (the target is then outside the group)."""
+    parities = (ctx.g.parity(), ctx.h.parity())
+    codes = np.array([c for c in range(STAY) if parities[c >> 1]], dtype=np.intp)
+    if not codes.size:
+        raise ValueError("odd target but both generators are even")
+    # step c ^ 1 is the inverse of step c, so each row is one remainder w^-1 * target
+    rest = target.images.take(ctx.steps.images[codes ^ 1])
+    moved = np.count_nonzero(rest != np.arange(ctx.degree), axis=1)
+    best = int(np.argmin(moved))
+    return ctx.steps.symbols[codes[best]], Permutation._raw(rest[best])
+
+
 def synthesize(ctx: SynthContext, target: Permutation) -> Word:
     """Word over (g, h) evaluating exactly to target.
 
-    Odd targets spend one odd generator first; the even remainder factors
-    into 3-cycles handled one by one. Raises ValueError for an odd target
-    when both generators are even (the target is then outside the group).
+    An odd target first spends the odd step (g, g^-1, h or h^-1) whose
+    remainder moves the fewest points; the even remainder factors into
+    3-cycles handled one by one. Raises ValueError for an odd target when
+    both generators are even (the target is then outside the group).
     """
     if target.degree != ctx.degree:
         raise ValueError("degree mismatch")
     parts: list[Word] = []
     rest = target
     if not target.is_even():
-        if ctx.parity_witness is None:
-            raise ValueError("odd target but both generators are even")
-        parts.append(ctx.parity_witness.word)
-        rest = ctx.parity_witness.perm.inverse() * target
+        witness, rest = _parity_witness(ctx, target)
+        parts.append(witness)
     for factor in three_cycle_factorization(rest):
         parts.append(_factor_word(ctx, factor))
     out = Cat(tuple(parts))

@@ -9,7 +9,7 @@ import pytest
 
 import permword
 from permword import DenseGroup, Permutation, random_uniform
-from permword.walk import generated_mask
+from permword.walk import gather_matrix, generated_mask, transition_tables
 
 acceptance_lines = []
 
@@ -39,6 +39,21 @@ def generated_group(g, h):
     else Sym(n)), or None when the reachability mask shows it does not."""
     group = DenseGroup("alt" if g.is_even() and h.is_even() else "sym", g.degree)
     return group if generated_mask([g, h], group).all() else None
+
+
+def dense_walk_gap(m, group) -> float:
+    """Ordering spectral gap 1 - lambda_2 of a symmetric measure's walk,
+    by dense eigensolve over an enumerated group (oracle-sized groups)."""
+    eig = np.linalg.eigvalsh(gather_matrix(*transition_tables(m, group)))
+    return float(1.0 - eig[-2])
+
+
+def dense_adjacency(graph) -> np.ndarray:
+    """A TupleGraph's normalized adjacency as an explicit matrix, for
+    oracle-sized graphs only."""
+    if graph.num_vertices > 20_000:
+        raise ValueError("dense form too large")
+    return gather_matrix(graph.neighbors, np.full(4, 0.25))
 
 
 @pytest.fixture

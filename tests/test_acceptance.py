@@ -32,7 +32,6 @@ from permword import (
     three_cycle_lazy_measure,
     TupleGraph,
 )
-from permword.compare import dense_walk_gap
 from permword.repgap import (
     cayley_spectrum_bruteforce,
     char_ratio_3cycle,
@@ -45,7 +44,13 @@ from permword.repgap import (
 from permword.walk import beeth_profile, strong_mixing_time, transition_tables
 from permword.kernels import convolve_steps
 
-from conftest import generated_group, record_criterion, seeded_pair
+from conftest import (
+    dense_adjacency,
+    dense_walk_gap,
+    generated_group,
+    record_criterion,
+    seeded_pair,
+)
 
 
 def test_criterion_1_exact_gap_window():
@@ -211,7 +216,7 @@ def test_criterion_7_schreier_gap_estimates():
     worst = 0.0
     for ell in (1, 2, 3):
         graph = TupleGraph(g, h, ell)
-        eigs = np.sort(np.linalg.eigvalsh(graph.dense_adjacency()))[::-1]
+        eigs = np.sort(np.linalg.eigvalsh(dense_adjacency(graph)))[::-1]
         est = estimate_gap(graph, rng=np.random.default_rng(1))
         worst = max(worst, abs(est.lambda1 - eigs[1]))
     dense_ok = worst < 1e-6

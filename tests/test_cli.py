@@ -106,7 +106,7 @@ PINNED_PAYLOADS = {
     ),
     "compare": (
         ["compare", "--n", "12", "--seed", "1", "--mode", "sample:16"],
-        "670841aa5a6f193bdf7bbf3ec2e7b59c412d4b5d",
+        "d3553804e7e697f73d26cb835ce85d90837a14b6",
     ),
 }
 
@@ -310,9 +310,8 @@ def test_compare_payload(capsys):
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_compare_bound_is_below_dense_gap(capsys, seed):
-    from conftest import generated_group, seeded_pair
+    from conftest import dense_walk_gap, generated_group, seeded_pair
     from permword import lazy_generator_measure
-    from permword.compare import dense_walk_gap
 
     code, rec = run_record(capsys, ["compare", "--n", "5", "--seed", str(seed), "--mode", "exact"])
     assert code == 0
@@ -366,6 +365,31 @@ def test_sweep_rejects_reversed_range(capsys, tmp_path):
         assert dispatch(["sweep", "--config", str(path)]) == 2
         err = capsys.readouterr().err
         assert "must be a JSON object" in err and f"{key} is {reversed_range}" in err
+
+
+@pytest.mark.parametrize("key", ["n", "seed", "se"])
+def test_sweep_rejects_params_that_relabel_rows(capsys, tmp_path, key):
+    # argparse keeps the last --n/--seed (and reads --se as --seed), so such
+    # a param would give every row the same payload under its own label
+    path = tmp_path / "cfg.json"
+    cfg = {"subcommand": "gap-exact", "n_range": [5, 6], "seed_range": [0, 0],
+           "params": {key: 9}}
+    path.write_text(json.dumps(cfg))
+    assert dispatch(["sweep", "--config", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert "must be a JSON object" in err and f"params sets {key!r}" in err
+
+
+@pytest.mark.parametrize("key", ["n_range", "seed_range"])
+def test_sweep_rejects_boolean_range_bound(capsys, tmp_path, key):
+    # a JSON boolean passes isinstance(x, int); [true, 3] is not [1, 3]
+    path = tmp_path / "cfg.json"
+    cfg = {"subcommand": "gap-exact", "n_range": [5, 5], "seed_range": [0, 0], "params": {}}
+    cfg[key] = [True, 3]
+    path.write_text(json.dumps(cfg))
+    assert dispatch(["sweep", "--config", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert "must be a JSON object" in err and f"{key} is [true, 3]" in err
 
 
 def test_sweep_flags_failed_rows_but_exits_0(capsys, tmp_path):

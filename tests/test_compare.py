@@ -28,10 +28,16 @@ from permword import (
 from permword import compare, schreier
 from permword.errors import InvariantError
 from permword.word import GeneratorCounts
-from permword.compare import MAX_EXACT_DEGREE, dense_walk_gap, regular_tuple_length
+from permword.compare import MAX_EXACT_DEGREE, regular_tuple_length
 from permword.walk import Atom, WalkMeasure, generated_mask, translated_class
 
-from conftest import generated_group, perm_from_cycles, run_python_O, seeded_pair
+from conftest import (
+    dense_walk_gap,
+    generated_group,
+    perm_from_cycles,
+    run_python_O,
+    seeded_pair,
+)
 
 
 def bfs_distances(g, h):

@@ -24,7 +24,7 @@ from permword.schreier import _top_ritz, pair_tree
 from permword.shrink import walk_length
 from permword.synth import _orbit_sizes
 
-from conftest import run_python_O, seeded_pair
+from conftest import dense_adjacency, run_python_O, seeded_pair
 
 
 def small_graph(n=6, ell=2, seed=11):
@@ -83,7 +83,7 @@ def test_neighbors_follow_generator_action():
 
 def test_adjacency_dense_vs_implicit():
     graph, _, _ = small_graph(6, 3, seed=2)
-    A = graph.dense_adjacency()
+    A = dense_adjacency(graph)
     assert np.allclose(A.sum(axis=1), 1.0)
     assert np.allclose(A, A.T)
     rng = np.random.default_rng(0)
@@ -104,7 +104,7 @@ def test_estimate_gap_matches_dense_eigensolve(ell):
     # the estimator reports the top eigenvalue of A on the mean-zero space,
     # the second of A itself, so the dense oracle reads off eigvalsh(A)
     graph, _, _ = small_graph(6, ell, seed=9)
-    A = graph.dense_adjacency()
+    A = dense_adjacency(graph)
     eigs = np.sort(np.linalg.eigvalsh(A))[::-1]
     est = estimate_gap(graph, rng=np.random.default_rng(1))
     assert abs(est.lambda1 - eigs[1]) < 1e-6
@@ -128,7 +128,7 @@ def test_estimate_gap_dense_population(n, ell):
     for seed in range(6):
         g, h, _ = seeded_pair(n, seed)
         graph = TupleGraph(g, h, ell)
-        lam2 = np.sort(np.linalg.eigvalsh(graph.dense_adjacency()))[-2]
+        lam2 = np.sort(np.linalg.eigvalsh(dense_adjacency(graph)))[-2]
         est = estimate_gap(graph, rng=np.random.default_rng(seed))
         assert est.lambda1 <= lam2 + 1e-12
         assert est.converged

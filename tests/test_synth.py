@@ -10,8 +10,10 @@ import numpy as np
 import pytest
 
 from permword import (
+    GEN_H,
     Cat,
     InvariantError,
+    Inv,
     Permutation,
     evaluate,
     expanded_length,
@@ -25,6 +27,11 @@ from permword import RetryExhaustedError, synth
 from permword.synth import CycleLabeling, _preimage_label_rows, build_3cycle
 
 from conftest import run_python_O, seeded_pair
+
+
+def odd_steps(ctx):
+    """Codes of the odd rows among g, g^-1, h, h^-1 in the context's step table."""
+    return [c for c in range(4) if Permutation(ctx.steps.images[c]).parity()]
 
 
 @pytest.fixture(scope="module")
@@ -55,9 +62,10 @@ def test_prepare_context_invariants(ctx20):
     assert ctx.kappa.perm.support_size() == 3
     assert set(ctx.kappa.perm.support()) <= set(ctx.labeling.points)
     assert evaluate(ctx.kappa.word, ctx.g, ctx.h) == ctx.kappa.perm
-    # parity witness exists iff a generator is odd, and is that generator
-    if ctx.parity_witness is not None:
-        assert ctx.parity_witness.perm.parity() == 1
+    # the step table's rows g, g^-1, h, h^-1 carry their generators' parities,
+    # which is all an odd target's witness needs
+    for c in range(4):
+        assert Permutation(ctx.steps.images[c]).parity() == (ctx.g, ctx.h)[c >> 1].parity()
 
 
 def test_build_3cycle_routes_agree(ctx20):
@@ -188,7 +196,7 @@ def test_synthesize_exact_and_within_budget(ctx20):
     targets = [random_even(n, rng) for _ in range(4)]
     targets += [random_uniform(n, rng) for _ in range(4)]
     for target in targets:
-        if target.parity() == 1 and ctx.parity_witness is None:
+        if target.parity() == 1 and not odd_steps(ctx):
             continue
         w = synthesize(ctx, target)
         assert evaluate(w, ctx.g, ctx.h) == target
@@ -206,10 +214,49 @@ def test_synthesize_odd_target_needs_witness():
             break
         except Exception:
             continue
-    assert ctx.parity_witness is None
+    assert odd_steps(ctx) == []
     odd = Permutation.transposition(16, 1, 2)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="both generators are even"):
         synthesize(ctx, odd)
+
+
+def test_odd_target_spends_the_step_leaving_least_support():
+    # n = 18, seed 1: g and h are both odd, so all four steps are candidates.
+    # Every element of the reference cosets gC and g^-1 C is one odd step
+    # times a 3-cycle, so its word is that step's symbol and one factor's word.
+    g, h, rng = seeded_pair(18, 1)
+    ctx = prepare_context(g, h, rng)
+    assert odd_steps(ctx) == [0, 1, 2, 3]
+    steps = [Permutation(row) for row in ctx.steps.images[:4]]
+    pick = np.random.default_rng(3)
+    for translate in (g, g.inverse()):
+        for _ in range(50):
+            a, b, c = (int(x) + 1 for x in pick.choice(18, size=3, replace=False))
+            target = translate * Permutation.from_cycles(18, [(a, b, c)])
+            moved = [(s.inverse() * target).support_size() for s in steps]
+            best = moved.index(min(moved))
+            assert min(moved) <= 3
+            w = synthesize(ctx, target)
+            assert w.children[0] is ctx.steps.symbols[best]
+            assert len(w.children) == (2 if min(moved) else 1)
+            assert evaluate(w, g, h) == target
+
+
+def test_odd_target_may_start_with_inverse_step():
+    # n = 17, seed 0: g is even and h odd (order 30, so h^-1 != h); the
+    # remainder of h^-1 * c after Inv(h) is the 3-cycle c itself
+    g, h, rng = seeded_pair(17, 0)
+    assert g.is_even() and not h.is_even() and h.order() > 2
+    ctx = prepare_context(g, h, rng)
+    assert odd_steps(ctx) == [2, 3]
+    c = Permutation.from_cycles(17, [(2, 9, 5)])
+    target = h.inverse() * c
+    w = synthesize(ctx, target)
+    first = w.children[0]
+    assert first is ctx.steps.symbols[3]
+    assert isinstance(first, Inv) and first.child is GEN_H
+    assert len(w.children) == 2
+    assert evaluate(w, g, h) == target
 
 
 def test_synthesize_degree_mismatch(ctx20):
