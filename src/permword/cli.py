@@ -3,19 +3,24 @@
 Every subcommand takes --seed and derives all randomness from it, so a
 (subcommand, params, seed) triple reproduces its payload bit for bit. Output
 is a RunRecord envelope (JSON to --json or stdout); sweep instead emits CSV
-with one row per run. Exit codes: 0 success, 1 retry/budget exhaustion,
-2 usage errors.
+with one row per run. Sweep rows are striped over the CPUs this process may
+use: the caller runs its share and forked helpers send theirs back through
+pipes; the CSV bytes do not depend on the worker count. Exit codes: 0
+success, 1 retry/budget exhaustion (or a sweep row's unflagged exception),
+2 usage errors, including an output path that cannot be opened.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import hashlib
 import io
 import itertools
 import json
 import math
+import os
 import pathlib
 import sys
 import time
@@ -273,51 +278,174 @@ def _sweep_one(parser, sub: str, n: int, seed: int, params: dict) -> tuple:
         return n, seed, False, f"{type(exc).__name__}: {exc}", ""
 
 
+class SweepRowError(RuntimeError):
+    """A sweep row raised an exception that its CSV row cannot flag; the
+    sweep fails. Args are (n, seed, exception type name, message)."""
+
+    def __str__(self) -> str:
+        n, seed, kind, message = self.args
+        return f"sweep row n={n}, seed={seed} raised {kind}: {message}"
+
+
+def _sweep_stripe(parser, sub: str, keys: list, params: dict) -> list[tuple]:
+    """One worker's rows, in the order of `keys`."""
+    rows = []
+    for n, seed in keys:
+        try:
+            # looked up at call time: the traced benchmark rebinds _sweep_one
+            rows.append(_sweep_one(parser, sub, n, seed, params))
+        except Exception as exc:
+            raise SweepRowError(n, seed, type(exc).__name__, str(exc)) from exc
+    return rows
+
+
+def _sweep_workers(rows: int) -> int:
+    """One worker per CPU this process may use, at most one per row; 1
+    where fork is unavailable."""
+    if not hasattr(os, "fork"):
+        return 1
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:
+        cpus = os.cpu_count() or 1
+    return max(1, min(cpus, rows))
+
+
+def _sweep_helper(wfd: int, inherited: list[int], parser, sub: str, keys: list,
+                  params: dict) -> None:
+    """Body of a forked helper: close the read ends it inherited, run the
+    stripe, send its rows (or the row that failed) as one JSON document,
+    and leave through os._exit, so no atexit handler or inherited stdio
+    buffer runs twice. Never returns."""
+    status = 1
+    try:
+        for fd in inherited:
+            os.close(fd)
+        try:
+            message = {"rows": _sweep_stripe(parser, sub, keys, params)}
+        except SweepRowError as exc:
+            message = {"error": list(exc.args)}
+        with os.fdopen(wfd, "w", encoding="utf-8") as fh:
+            json.dump(message, fh)
+        status = 0
+    finally:
+        os._exit(status)
+
+
+def _sweep_rows(parser, sub: str, keys: list, params: dict) -> list[tuple]:
+    """Rows of `keys` in order. With k workers the caller runs rows 0, k,
+    2k, ... and forked helper w runs rows w, w + k, ..., sending them back
+    through a pipe; on every path each helper is reaped before this
+    returns. On Python 3.12 and later os.fork warns when the process has
+    other OS threads (OpenBLAS starts a pool when numpy is imported)."""
+    k = _sweep_workers(len(keys))
+    helpers: dict[int, int] = {}  # pid -> worker, until reaped
+    pipes: dict[int, int] = {}  # worker -> read fd, until read
+    try:
+        for w in range(1, k):
+            rfd, wfd = os.pipe()
+            try:
+                pid = os.fork()
+            except BaseException:
+                os.close(rfd)
+                os.close(wfd)
+                raise
+            if pid == 0:
+                _sweep_helper(wfd, [rfd, *pipes.values()], parser, sub, keys[w::k], params)
+            os.close(wfd)
+            helpers[pid] = w
+            pipes[w] = rfd
+        rows: list = [None] * len(keys)
+        rows[0::k] = _sweep_stripe(parser, sub, keys[0::k], params)
+        # read every pipe before reaping: a helper blocks on a full pipe
+        sent = {}
+        for w in list(pipes):
+            with os.fdopen(pipes.pop(w), "rb") as fh:
+                sent[w] = fh.read()
+        for pid, w in list(helpers.items()):
+            _, status = os.waitpid(pid, 0)
+            del helpers[pid]
+            try:
+                message = json.loads(sent[w])
+            except ValueError:
+                raise RuntimeError(
+                    f"sweep helper {w} exited with status {os.waitstatus_to_exitcode(status)} "
+                    f"without sending its rows (n, seed) {keys[w::k]}"
+                ) from None
+            if "error" in message:
+                raise SweepRowError(*message["error"])
+            rows[w::k] = [tuple(row) for row in message["rows"]]
+        return rows
+    finally:
+        for rfd in pipes.values():
+            os.close(rfd)
+        if helpers:
+            import signal
+
+            for pid in helpers:
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+
+
 SWEEP_SHAPE = (
     "sweep config must be a JSON object {subcommand, n_range: [lo, hi], "
     "seed_range: [lo, hi], params: {flag: value}} with integers lo <= hi"
 )
 
 
-def run_sweep(args) -> str:
-    """Cross-product runner; returns CSV text. Failed rows are flagged, the
-    sweep itself still exits 0."""
-    with open(args.config, encoding="utf-8") as fh:
+def _sweep_config(path: str) -> tuple[str, list, dict]:
+    """(subcommand, (n, seed) keys in n-major order, params) of a sweep
+    config; ValueError names what is malformed."""
+    with open(path, encoding="utf-8") as fh:
         cfg = json.load(fh)
-    if not (
-        isinstance(cfg, dict)
-        and isinstance(cfg.get("params", {}), dict)
-        and all(
-            isinstance(r, list) and len(r) == 2
-            for r in (cfg.get("n_range"), cfg.get("seed_range"))
-        )
-    ):
+    if not (isinstance(cfg, dict) and isinstance(cfg.get("params", {}), dict)):
         raise ValueError(SWEEP_SHAPE)
+    for key in ("subcommand", "n_range", "seed_range"):
+        if key not in cfg:
+            raise ValueError(f"{SWEEP_SHAPE}; {key} is missing")
     for key in ("n_range", "seed_range"):
-        lo, hi = cfg[key]
+        bounds = cfg[key]
         # a JSON boolean is a Python int, so test the type itself
-        if type(lo) is not int or type(hi) is not int or lo > hi:
-            raise ValueError(f"{SWEEP_SHAPE}; {key} is {json.dumps(cfg[key])}")
-    for key in cfg.get("params", {}):
+        if not (
+            isinstance(bounds, list)
+            and len(bounds) == 2
+            and all(type(b) is int for b in bounds)
+            and bounds[0] <= bounds[1]
+        ):
+            raise ValueError(f"{SWEEP_SHAPE}; {key} is {json.dumps(bounds)}")
+    params = cfg.get("params", {})
+    for key in params:
         # every row sets --n and --seed itself; argparse keeps the last value
         # and also takes a prefix of --seed
         name = str(key).replace("_", "-")
         if name == "n" or (name and "seed".startswith(name)):
             raise ValueError(f"{SWEEP_SHAPE}; params sets {key!r}, which each row takes from a range")
     sub = cfg["subcommand"]
-    if sub not in RUNNERS:
+    if not isinstance(sub, str) or sub not in RUNNERS:
         raise ValueError(f"sweep cannot drive subcommand {sub!r}")
-    n_lo, n_hi = cfg["n_range"]
-    s_lo, s_hi = cfg["seed_range"]
-    params = cfg.get("params", {})
-    parser = build_parser()
-    out = io.StringIO()
-    writer = csv.writer(out)
-    writer.writerow(["n", "seed", "ok", "error", "payload"])
-    for n in range(n_lo, n_hi + 1):
-        for seed in range(s_lo, s_hi + 1):
-            writer.writerow(_sweep_one(parser, sub, n, seed, params))
-    return out.getvalue()
+    (n_lo, n_hi), (s_lo, s_hi) = cfg["n_range"], cfg["seed_range"]
+    keys = [(n, seed) for n in range(n_lo, n_hi + 1) for seed in range(s_lo, s_hi + 1)]
+    return sub, keys, params
+
+
+def run_sweep(args) -> str:
+    """Cross-product runner; returns CSV text and, with --out, writes it
+    there. The config is checked and --out opened before any row runs.
+    Rows are striped over the CPUs this process may use, the caller
+    running its own stripe (see `_sweep_rows`), and written in n-major
+    order: the bytes do not depend on the worker count. Failed rows are
+    flagged and the sweep still exits 0; any other exception in a row
+    fails the sweep as a SweepRowError naming the row."""
+    sub, keys, params = _sweep_config(args.config)
+    with open(args.out, "w", encoding="utf-8") if args.out else contextlib.nullcontext() as sink:
+        out = io.StringIO()
+        writer = csv.writer(out)
+        writer.writerow(["n", "seed", "ok", "error", "payload"])
+        writer.writerows(_sweep_rows(build_parser(), sub, keys, params))
+        text = out.getvalue()
+        if sink is not None:
+            sink.write(text)
+    return text
 
 
 # -- parser and dispatch ------------------------------------------------------------
@@ -410,10 +538,11 @@ def dispatch(argv: list[str]) -> int:
     if args.subcommand == "sweep":
         try:
             text = run_sweep(args)
-        except (OSError, KeyError, ValueError, json.JSONDecodeError) as exc:
+        except (OSError, ValueError) as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 2
-        _emit(text, args.out)
+        if args.out is None:
+            _emit(text, None)
         return 0
 
     started = datetime.now(timezone.utc).isoformat()
@@ -441,7 +570,11 @@ def dispatch(argv: list[str]) -> int:
         "wall_ms": round((time.perf_counter() - t0) * 1000.0, 3),
         "payload": _jsonable(payload),
     }
-    _emit(json.dumps(record, indent=2, sort_keys=True), args.json_path)
+    try:
+        _emit(json.dumps(record, indent=2, sort_keys=True), args.json_path)
+    except OSError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     return code
 
 

@@ -4,10 +4,16 @@ import csv
 import hashlib
 import io
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import permword
+from permword import cli
 from permword.cli import build_id, dispatch
 
 ENVELOPE_KEYS = {
@@ -54,13 +60,7 @@ def test_build_id_is_stable_hex():
 
 
 def test_build_id_covers_subpackages(tmp_path):
-    import os
     import shutil
-    import subprocess
-    import sys
-    from pathlib import Path
-
-    import permword
 
     src = Path(permword.__file__).resolve().parent
     digests = []
@@ -126,6 +126,21 @@ def test_json_flag_writes_file(tmp_path, capsys):
     assert code == 0 and out == ""
     rec = json.loads(path.read_text())
     assert rec["payload"]["gap"] == "3/5"
+
+
+def test_unwritable_output_path_is_a_usage_error(capsys, tmp_path, monkeypatch):
+    missing = str(tmp_path / "no-such-dir" / "out")
+    assert dispatch(["gap-exact", "--n", "5", "--json", missing + ".json"]) == 2
+    assert "error:" in capsys.readouterr().err
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(
+        {"subcommand": "gap-exact", "n_range": [5, 6], "seed_range": [0, 0], "params": {}}
+    ))
+    ran = []
+    monkeypatch.setattr(cli, "_sweep_one", lambda *a: ran.append(a))
+    assert dispatch(["sweep", "--config", str(cfg), "--out", missing + ".csv"]) == 2
+    assert "error:" in capsys.readouterr().err
+    assert ran == []  # --out is opened before any row runs
 
 
 def test_usage_errors_exit_2(capsys):
@@ -422,22 +437,26 @@ def test_sweep_rejects_bad_config(capsys, tmp_path):
 
 
 @pytest.mark.parametrize(
-    "cfg",
+    "cfg, fault",
     [
-        [{"subcommand": "gap-exact", "n_range": [5, 5], "seed_range": [0, 0]}],
-        {"subcommand": "gap-exact", "n_range": [5, 5], "seed_range": [0, 0], "params": ["n"]},
-        {"subcommand": "gap-exact", "n_range": [5, 5], "seed_range": [0, 0], "params": "x"},
-        {"subcommand": "gap-exact", "n_range": 5, "seed_range": [0, 0]},
-        {"subcommand": "gap-exact", "n_range": [5, 5]},
-        {"subcommand": "gap-exact", "n_range": [None, 5], "seed_range": [0, 0]},
+        ([{"subcommand": "gap-exact", "n_range": [5, 5], "seed_range": [0, 0]}], ""),
+        ({"subcommand": "gap-exact", "n_range": [5, 5], "seed_range": [0, 0], "params": ["n"]}, ""),
+        ({"subcommand": "gap-exact", "n_range": [5, 5], "seed_range": [0, 0], "params": "x"}, ""),
+        ({"subcommand": "gap-exact", "n_range": 5, "seed_range": [0, 0]}, "n_range is 5"),
+        ({"subcommand": "gap-exact", "n_range": [5, 5]}, "seed_range is missing"),
+        ({"subcommand": "gap-exact", "n_range": [None, 5], "seed_range": [0, 0]},
+         "n_range is [null, 5]"),
+        ({"n_range": [5, 5], "seed_range": [0, 0], "params": {}}, "subcommand is missing"),
     ],
-    ids=["array", "params-list", "params-string", "n-range-int", "no-seed-range", "null-bound"],
+    ids=["array", "params-list", "params-string", "n-range-int", "no-seed-range", "null-bound",
+         "no-subcommand"],
 )
-def test_sweep_rejects_malformed_config_shape(capsys, tmp_path, cfg):
+def test_sweep_rejects_malformed_config_shape(capsys, tmp_path, cfg, fault):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(cfg))
     assert dispatch(["sweep", "--config", str(path)]) == 2
-    assert "must be a JSON object" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "must be a JSON object" in err and fault in err
 
 
 def test_sweep_flags_unknown_flag_as_usage_error(capsys, tmp_path):
@@ -447,3 +466,141 @@ def test_sweep_flags_unknown_flag_as_usage_error(capsys, tmp_path):
     }
     rows = sweep_rows(capsys, cfg, tmp_path)
     assert rows[1][2:] == ["False", "usage error", ""]
+
+
+# -- striped sweep: the caller and forked helpers ------------------------------------
+
+
+@pytest.fixture
+def sweep_workers(monkeypatch):
+    """Force the sweep's worker count through the CPU set it reads, so a
+    one-CPU host still forks."""
+    if not hasattr(os, "fork"):
+        pytest.skip("no os.fork")
+
+    def force(k):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(k)), raising=False)
+
+    return force
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+# (config, error column of each row: "" for a row that ran)
+MIXED_SWEEPS = [
+    # n = 16, seed 0 does not generate
+    ({"subcommand": "compare", "n_range": [15, 16], "seed_range": [0, 1],
+      "params": {"mode": "sample:4"}},
+     ["", "", "ValueError: <g, h> is intransitive", ""]),
+    # n = 10 is below shrink's feasible degree
+    ({"subcommand": "shrink", "n_range": [9, 10], "seed_range": [0, 1], "params": {}},
+     ["", "", "ValueError", "ValueError"]),
+    ({"subcommand": "gap-exact", "n_range": [5, 6], "seed_range": [0, 0],
+      "params": {"no_such_flag": True}},
+     ["usage error", "usage error"]),
+]
+
+
+def test_sweep_csv_is_identical_for_any_worker_count(capsys, tmp_path, sweep_workers):
+    path = tmp_path / "cfg.json"
+    for cfg, errors in MIXED_SWEEPS:
+        path.write_text(json.dumps(cfg))
+        texts = []
+        for k in (1, 2, 3):
+            sweep_workers(k)
+            code, out = run(capsys, ["sweep", "--config", str(path)])
+            assert code == 0
+            texts.append(out)
+            assert_no_child_left()
+        assert texts[1] == texts[0] and texts[2] == texts[0]
+        rows = list(csv.reader(io.StringIO(texts[0])))[1:]
+        assert [r[2] for r in rows] == [str(not e) for e in errors]
+        assert all(r[3].startswith(e) for r, e in zip(rows, errors))
+
+
+@pytest.mark.parametrize("n_bad", [6, 5], ids=["helper", "caller"])
+def test_sweep_row_exception_fails_the_sweep(capsys, tmp_path, sweep_workers, monkeypatch,
+                                             n_bad):
+    # rows (5, 0) and (6, 0) on two workers: the caller runs n = 5, the helper n = 6
+    sweep_workers(2)
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(
+        {"subcommand": "gap-exact", "n_range": [5, 6], "seed_range": [0, 0], "params": {}}
+    ))
+    real = cli._sweep_one
+
+    def one(parser, sub, n, seed, params):
+        if n == n_bad:
+            raise TypeError("boom")
+        return real(parser, sub, n, seed, params)
+
+    monkeypatch.setattr(cli, "_sweep_one", one)
+    with pytest.raises(cli.SweepRowError, match=f"n={n_bad}, seed=0 raised TypeError: boom"):
+        dispatch(["sweep", "--config", str(path)])
+    assert_no_child_left()
+    capsys.readouterr()
+
+
+def test_sweep_row_exception_exits_nonzero(tmp_path):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(
+        {"subcommand": "gap-exact", "n_range": [5, 6], "seed_range": [0, 0], "params": {}}
+    ))
+    code = f"""
+import os, sys
+os.sched_getaffinity = lambda pid: {{0, 1}}
+from permword import cli
+real = cli._sweep_one
+def one(parser, sub, n, seed, params):
+    if n == 6:
+        raise TypeError("boom")
+    return real(parser, sub, n, seed, params)
+cli._sweep_one = one
+sys.argv = ["permword", "sweep", "--config", {str(path)!r}]
+cli.main()
+"""
+    root = str(Path(permword.__file__).resolve().parents[1])
+    path_var = os.pathsep.join(filter(None, [root, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path_var}
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env,
+                          timeout=120)
+    assert proc.returncode != 0 and proc.stdout == ""
+    assert "n=6, seed=0 raised TypeError: boom" in proc.stderr
+
+
+def test_sweep_names_the_rows_of_a_helper_that_died(capsys, tmp_path, sweep_workers,
+                                                     monkeypatch):
+    sweep_workers(2)
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(
+        {"subcommand": "gap-exact", "n_range": [5, 8], "seed_range": [0, 0], "params": {}}
+    ))
+    caller = os.getpid()
+    real = cli._sweep_one
+
+    def one(parser, sub, n, seed, params):
+        if n == 8 and os.getpid() != caller:
+            os._exit(3)
+        return real(parser, sub, n, seed, params)
+
+    monkeypatch.setattr(cli, "_sweep_one", one)
+    rows = r"\[\(6, 0\), \(8, 0\)\]"
+    with pytest.raises(RuntimeError, match=r"status 3 without sending its rows .* " + rows):
+        dispatch(["sweep", "--config", str(path)])
+    assert_no_child_left()
+    capsys.readouterr()
+
+
+def test_sweep_on_one_cpu_forks_nothing(capsys, tmp_path, sweep_workers, monkeypatch):
+    sweep_workers(1)
+
+    def no_fork():
+        raise AssertionError("a one-CPU sweep forked")
+
+    monkeypatch.setattr(os, "fork", no_fork)
+    cfg = {"subcommand": "gap-exact", "n_range": [5, 7], "seed_range": [0, 1], "params": {}}
+    rows = sweep_rows(capsys, cfg, tmp_path)
+    assert [(int(r[0]), int(r[1])) for r in rows[1:]] == [(n, s) for n in (5, 6, 7) for s in (0, 1)]

@@ -4,6 +4,7 @@ expects to run must record a call, so a rename or a dropped call that would
 fail `perfbench/run.py --trace 1` fails here first."""
 
 import importlib
+import os
 import sys
 import types
 from pathlib import Path
@@ -43,10 +44,13 @@ def test_traced_entry_point_resolves(modname, path):
     assert callable(vars(owner)[attr])
 
 
-def test_workload_expected_calls_all_record_a_call(tmp_path):
+def test_workload_expected_calls_all_record_a_call(tmp_path, monkeypatch):
     """One synth_stream pair's set-up and round, then one batch round, traced.
     This catches an expected entry point renamed or no longer called; it
-    says nothing of the run's coverage."""
+    says nothing of the run's coverage. The sweep runs on two workers on
+    any host, so the names must be recorded by the caller's own rows: the
+    tracer does not see a forked helper's calls."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
     workloads = _load("workloads.py")
     synth = workloads.SynthStream(1, str(tmp_path))
     synth.pairs = 1
@@ -63,5 +67,9 @@ def test_workload_expected_calls_all_record_a_call(tmp_path):
         batch.close()
     assert tracer.leftovers() == []
     assert [op.error for op in ops if op.error] == []
+    sweep = workloads.CompareSweep
+    (n_lo, n_hi), (s_lo, s_hi) = sweep.n_range, sweep.seed_range
+    rows = (n_hi - n_lo + 1) * (s_hi - s_lo + 1)
+    assert tracer.calls["cli._sweep_one"] == (rows + 1) // 2  # the caller's stripe only
     expected = set(workloads.SynthStream.expected_calls + workloads.Batch.expected_calls)
     assert sorted(name for name in expected if not tracer.calls.get(name)) == []
