@@ -478,7 +478,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp = add("schreier-gap", help="estimated tuple-action gap for a seeded pair")
     sp.add_argument("--n", type=int, required=True)
     sp.add_argument("--ell", type=int, default=3)
-    sp.add_argument("--max-iters", type=int, default=4000)
+    sp.add_argument("--max-iters", type=int, default=4000,
+                    help="cap on Lanczos steps per symmetry block")
     sp.add_argument("--tol", type=float, default=1e-8)
 
     sp = add("mix-exact", help="exact distribution evolution on a dense group")

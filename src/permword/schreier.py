@@ -23,6 +23,7 @@ from .perm import Permutation
 from .walk import (
     STAY,
     StepTable,
+    _parity_rows,
     injective_tuples,
     lazy_step_codes,
     level_bfs,
@@ -77,11 +78,77 @@ class TupleGraph:
         """Normalized adjacency: average of f over the 4 neighbor slots."""
         return kernels.adjacency_apply(f, self.neighbors)
 
+    @functools.cached_property
+    def blocks(self) -> tuple["Block", ...]:
+        """The adjacency's symmetry blocks, built on first use from the
+        neighbor table: for ell = 1 the whole graph; else the tuples
+        symmetric in their first two points, then the alternating functions
+        on ell-subsets."""
+        if self.ell == 1:
+            return (Block(self.neighbors, signed=False),)
+        pairs_sorted = self.tuples.copy()
+        pairs_sorted[:, :2].sort(axis=1)
+        symmetric = _orbit_table(self.neighbors, _lex_ranks(pairs_sorted, self.n))
+        subsets = _lex_ranks(np.sort(self.tuples, axis=1), self.n)
+        alternating = _orbit_table(self.neighbors, subsets, _parity_rows(self.tuples))
+        return Block(symmetric, signed=False), Block(alternating, signed=True)
+
     def tree(self) -> "StepTree":
         """Breadth-first step tree from vertex 0, the tuple (1, 2, ..., ell)."""
         moves = functools.partial(self.neighbors.take, axis=1)
         codes, depth = level_bfs(moves, STAY, self.num_vertices, 0)
         return StepTree(StepTable.of(self.g, self.h), moves, codes, depth)
+
+
+def _lex_ranks(rows: np.ndarray, n: int) -> np.ndarray:
+    """Position of each injective row over 0..n-1 in the lexicographic order
+    of injective_tuples, from its digits: a point's digit counts the smaller
+    points not used before it. Arithmetic, no search."""
+    rank = np.zeros(rows.shape[0], dtype=np.intp)
+    for i in range(rows.shape[1]):
+        smaller_used = (rows[:, :i] < rows[:, i : i + 1]).sum(axis=1)
+        rank = rank * (n - i) + (rows[:, i] - smaller_used)
+    return rank
+
+
+def _orbit_table(
+    neighbors: np.ndarray, rep: np.ndarray, odd: np.ndarray | None = None
+) -> np.ndarray:
+    """Block table of the orbits that rep names (rep[x] is the index of x's
+    representative, so rep[x] == x on representatives): the block's vertices
+    are the representatives in order, and entry [j, b] is the block index of
+    the j-th neighbour of vertex b, plus the block size where that neighbour
+    is odd. One (N,) map from each tuple to its block index, then a gather."""
+    is_rep = rep == np.arange(rep.size)
+    index = np.cumsum(is_rep) - 1
+    block_of = index[rep]
+    if odd is not None:
+        block_of += (int(index[-1]) + 1) * odd.astype(np.intp)
+    return block_of.take(neighbors[:, is_rep])
+
+
+@dataclass(frozen=True, eq=False)
+class Block:
+    """One symmetry block of a TupleGraph's normalized adjacency: entry
+    [j, b] of the (4, size) table is the block index of the j-th neighbour of
+    block vertex b, plus size where a signed block's step flips the sign.
+    An unsigned block holds the constants, which apply removes after every
+    product; a signed (alternating) block holds none."""
+
+    table: np.ndarray
+    signed: bool
+
+    @property
+    def size(self) -> int:
+        return self.table.shape[1]
+
+    def apply(self, f: np.ndarray) -> np.ndarray:
+        """The block's adjacency on f, mean-deflated unless signed."""
+        if self.signed:
+            return kernels.adjacency_apply(np.concatenate((f, -f)), self.table)
+        out = kernels.adjacency_apply(f, self.table)
+        out -= out.mean()
+        return out
 
 
 # A Lanczos step whose new off-diagonal beta is at most this has closed the
@@ -112,17 +179,16 @@ def _dot(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.einsum("i,i->", a, b))
 
 
-def _lanczos(graph: TupleGraph, q: np.ndarray):
-    """Plain three-term Lanczos recurrence on the mean-deflated normalized
-    adjacency from the unit, mean-zero vector q, holding three vectors and no
-    basis. Yields (q_j, alpha_j, beta_j) for j = 1, 2, ... and stops after a
-    beta at most _CLOSED. Deterministic, so a second run from the same q
-    yields the same vectors bit for bit."""
+def _lanczos(op: Callable[[np.ndarray], np.ndarray], q: np.ndarray):
+    """Plain three-term Lanczos recurrence on the symmetric operator op from
+    the unit vector q, holding three vectors and no basis. Yields (q_j,
+    alpha_j, beta_j) for j = 1, 2, ... and stops after a beta at most
+    _CLOSED. Deterministic, so a second run from the same q yields the same
+    vectors bit for bit."""
     q_prev = None
     beta = 0.0
     while True:
-        w = graph.apply_adjacency(q)
-        w -= w.mean()
+        w = op(q)
         if q_prev is not None:
             w -= beta * q_prev
         alpha = _dot(q, w)
@@ -167,7 +233,7 @@ def _solve(piv: list[float], beta: list[float], b: Sequence[float]) -> np.ndarra
     for i in range(m - 2, -1, -1):
         acc = y[i] = y[i] + beta[i] * acc / piv[i]
     out = np.array(y)
-    return out / np.linalg.norm(out)
+    return out / math.sqrt(_dot(out, out))
 
 
 def _top_ritz(
@@ -211,19 +277,53 @@ def _top_ritz(
     off = np.asarray(beta)
     tx[:-1] += off * x[1:]
     tx[1:] += off * x[:-1]
-    return float(x @ tx), x
+    return _dot(x, tx), x
 
 
-def _ritz_residual(graph: TupleGraph, v: np.ndarray, s: np.ndarray, theta: float) -> float:
+def _ritz_residual(
+    op: Callable[[np.ndarray], np.ndarray], v: np.ndarray, s: np.ndarray, theta: float
+) -> float:
     """||A y - theta y|| / ||y|| for the Ritz vector y = sum_j s_j q_j, with
     the q_j rebuilt by a second run of the recurrence from v."""
     y = np.zeros_like(v)
-    for coef, (q, _, _) in zip(s, _lanczos(graph, v)):
+    for coef, (q, _, _) in zip(s, _lanczos(op, v)):
         y += coef * q
-    ay = graph.apply_adjacency(y)
-    ay -= ay.mean()
+    ay = op(y)
     ay -= theta * y
     return math.sqrt(_dot(ay, ay)) / math.sqrt(_dot(y, y))
+
+
+@dataclass(frozen=True)
+class _BlockRun:
+    block: Block
+    start: np.ndarray
+    theta: float
+    ritz: np.ndarray  # the Ritz vector's coefficients, one per step
+    estimate: float  # beta_m |s_m|, the Ritz residual estimate
+    met: bool  # stopped on its estimate or closed, not at the cap
+
+
+def _run_block(block: Block, v: np.ndarray, iters: int, tol: float) -> _BlockRun:
+    """Lanczos on one block from the unit vector v, checking the top Ritz
+    value now and then: it stops when the estimate beta_m |s_m| is at most
+    tol, when the Krylov space closes, or after iters steps."""
+    alpha: list[float] = []
+    beta: list[float] = []
+    theta = -math.inf
+    estimate = math.inf
+    next_check = _CHECK_EVERY
+    for j, (_, a, b) in enumerate(_lanczos(block.apply, v), start=1):
+        alpha.append(a)
+        beta.append(b)
+        closed = b <= _CLOSED
+        if not (closed or j >= next_check or j == iters):
+            continue
+        theta, s = _top_ritz(alpha, beta[:-1], theta, min(estimate, 1.0))
+        estimate = b * abs(float(s[-1]))
+        if closed or estimate <= tol or j == iters:
+            break
+        next_check = j + max(_CHECK_EVERY, j // 10)
+    return _BlockRun(block, v, theta, s, estimate, closed or estimate <= tol)
 
 
 def estimate_gap(
@@ -232,20 +332,31 @@ def estimate_gap(
     tol: float = 1e-8,
     rng: np.random.Generator | None = None,
 ) -> GapEstimate:
-    """Second eigenvalue of the normalized adjacency A by Lanczos.
+    """Second eigenvalue of the normalized adjacency A by Lanczos, run on
+    each of the graph's symmetry blocks.
 
-    Runs the three-term recurrence on A with the constant eigenvector
-    removed by mean subtraction after every product, so the top Ritz value
-    theta of the tridiagonal T_m approaches the largest eigenvalue of A on
-    the mean-zero space, lambda_2 (Paige: without a stored basis). The run
-    stops when the Ritz residual estimate beta_m |s_m| is at most tol, when
-    the Krylov space closes, or after iters steps. A run that says it has
-    converged is checked: a second run from the same start vector rebuilds
-    the Ritz vector y, and residual is the measured ||A y - theta y|| / ||y||.
-    converged holds exactly when that measured residual is at most tol (a
-    tol below the rounding floor of about 1e-15 is measured and missed). An
-    unchecked run reports the estimate. A disconnected graph yields
-    lambda1 = 1 and gap = 0. tol = 0 runs to iters unless the space closes.
+    Permuting a tuple's positions commutes with A, and every irreducible of
+    Sym(ell) but the sign has a vector fixed by (1 2). So the spectrum of A
+    is the union of its spectra on the (1 2)-symmetric and on the alternating
+    functions (TupleGraph.blocks), and lambda_2 is the larger top eigenvalue
+    of the two blocks once the constants are removed. Each block runs the
+    three-term recurrence from its own start vector, drawn from rng in block
+    order; the symmetric block, which holds the constants, subtracts the mean
+    after every product (Paige: without a stored basis). A symmetric block of
+    one vertex holds only the constants and is skipped. A block's run stops
+    when its Ritz residual estimate beta_m |s_m| is at most tol, when its
+    Krylov space closes, or after iters steps.
+
+    lambda1 is the larger top Ritz value theta, and iterations counts the
+    steps of its block. If that block stopped on its estimate or closed, a
+    second run from its start vector rebuilds the Ritz vector y, and residual
+    is the measured ||A y - theta y|| / ||y||; otherwise residual is its
+    estimate. A block stopped at the cap raises residual to its own unmet
+    estimate. So converged, which holds exactly when residual is at most tol,
+    needs the winner's measured residual at most tol and every block stopped
+    on its estimate or closed (a tol below the rounding floor of about 1e-15
+    is measured and missed). A disconnected graph yields lambda1 = 1 and
+    gap = 0. tol = 0 runs each block to iters unless its space closes.
     """
     if iters < 1:
         raise ValueError(f"Lanczos needs at least one iteration, got {iters}")
@@ -253,42 +364,30 @@ def estimate_gap(
         raise ValueError(f"tol must be finite and >= 0, got {tol}")
     if rng is None:
         rng = np.random.default_rng(0)
-    num = graph.num_vertices
-    if num < 2:
+    if graph.num_vertices < 2:
         raise ValueError("graph too small for a nontrivial eigenvalue")
-    v = rng.standard_normal(num)
-    v -= v.mean()
-    norm = math.sqrt(_dot(v, v))
-    if norm == 0.0:
-        raise ValueError("degenerate start vector")
-    v /= norm
-    alpha: list[float] = []
-    beta: list[float] = []
-    theta = -math.inf
-    residual = math.inf
-    converged = False
-    next_check = _CHECK_EVERY
-    for j, (_, a, b) in enumerate(_lanczos(graph, v), start=1):
-        alpha.append(a)
-        beta.append(b)
-        closed = b <= _CLOSED
-        if not (closed or j >= next_check or j == iters):
+    runs: list[_BlockRun] = []
+    for block in graph.blocks:
+        if not block.signed and block.size == 1:
             continue
-        theta, s = _top_ritz(alpha, beta[:-1], theta, min(residual, 1.0))
-        residual = b * abs(float(s[-1]))
-        if closed or residual <= tol:
-            residual = _ritz_residual(graph, v, s, theta)
-            converged = residual <= tol
-            break
-        if j == iters:
-            break
-        next_check = j + max(_CHECK_EVERY, j // 10)
+        v = rng.standard_normal(block.size)
+        if not block.signed:
+            v -= v.mean()
+        norm = math.sqrt(_dot(v, v))
+        if norm == 0.0:
+            raise ValueError("degenerate start vector")
+        runs.append(_run_block(block, v / norm, iters, tol))
+    win = max(runs, key=lambda run: run.theta)  # the first block on a tie
+    residual = win.estimate
+    if win.met:
+        residual = _ritz_residual(win.block.apply, win.start, win.ritz, win.theta)
+    residual = max([residual] + [r.estimate for r in runs if not r.met])
     return GapEstimate(
-        lambda1=theta,
-        gap=1.0 - theta,
+        lambda1=win.theta,
+        gap=1.0 - win.theta,
         residual=residual,
-        iterations=len(alpha),
-        converged=converged,
+        iterations=len(win.ritz),
+        converged=residual <= tol,
     )
 
 

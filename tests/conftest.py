@@ -56,6 +56,17 @@ def dense_adjacency(graph) -> np.ndarray:
     return gather_matrix(graph.neighbors, np.full(4, 0.25))
 
 
+def dense_block(block) -> np.ndarray:
+    """One symmetry block of a TupleGraph's normalized adjacency as an
+    explicit matrix, constants kept: a table entry at or past the block's
+    size is a step into the negated copy, worth -1/4."""
+    flips, cols = np.divmod(block.table, block.size)
+    M = np.zeros((block.size, block.size))
+    rows = np.broadcast_to(np.arange(block.size), block.table.shape)
+    np.add.at(M, (rows, cols), 0.25 - 0.5 * flips)
+    return M
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(12345)

@@ -3,6 +3,13 @@ eigensolve of the same normalized adjacency), and the tree on ordered pairs
 behind the shrink's conjugators (oracle: a plain BFS over ordered pairs)."""
 
 import itertools
+import json
+import math
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -24,7 +31,7 @@ from permword.schreier import _top_ritz, pair_tree
 from permword.shrink import walk_length
 from permword.synth import _orbit_sizes
 
-from conftest import dense_adjacency, run_python_O, seeded_pair
+from conftest import dense_adjacency, dense_block, run_python_O, seeded_pair
 
 
 def small_graph(n=6, ell=2, seed=11):
@@ -135,6 +142,128 @@ def test_estimate_gap_dense_population(n, ell):
         assert abs(est.lambda1 - lam2) < 1e-9
 
 
+def _distinct(values, tol=1e-8):
+    """Sorted eigenvalues with each cluster closer than tol kept once."""
+    values = np.sort(values)
+    return values[np.concatenate(([True], np.diff(values) > tol))]
+
+
+@pytest.mark.parametrize(
+    "n, ell", [(n, ell) for n in (5, 6, 7) for ell in (1, 2, 3, 4)] + [(5, 5), (6, 6)]
+)
+def test_block_spectra_make_up_the_spectrum(n, ell):
+    # the distinct eigenvalues of A are those of its (1 2)-symmetric block and
+    # its alternating block together; each block is a symmetric matrix on
+    # N/2 and C(n, ell) vertices whose table stays in range
+    g, h, _ = seeded_pair(n, 1)
+    graph = TupleGraph(g, h, ell)
+    blocks = graph.blocks
+    shapes = [(b.size, b.signed) for b in blocks]
+    if ell == 1:
+        assert shapes == [(n, False)]
+    else:
+        assert shapes == [(graph.num_vertices // 2, False), (math.comb(n, ell), True)]
+    dense = [dense_block(b) for b in blocks]
+    for b, M in zip(blocks, dense):
+        assert b.table.dtype == np.intp
+        assert b.table.min() >= 0 and b.table.max() < b.size * (1 + b.signed)
+        assert np.array_equal(M, M.T)
+    full = _distinct(np.linalg.eigvalsh(dense_adjacency(graph)))
+    union = _distinct(np.concatenate([np.linalg.eigvalsh(M) for M in dense]))
+    assert len(union) == len(full)
+    assert np.allclose(union, full, rtol=0.0, atol=1e-9)
+
+
+def test_block_apply_is_the_adjacency_on_lifted_functions():
+    # a symmetric block's function lifts to f(x) = u[block(x)], an alternating
+    # one to sign(sort of x) * u[subset of x]; A on the lift is the lift of
+    # the block's operator (deflated: the symmetric block subtracts its mean)
+    g, h, _ = seeded_pair(6, 2)
+    graph = TupleGraph(g, h, 3)
+    symmetric, alternating = graph.blocks
+    rng = np.random.default_rng(0)
+    tuples = [tuple(x) for x in graph.tuples.tolist()]
+    pairs = sorted({t for t in tuples if t[0] < t[1]})
+    subsets = sorted({t for t in tuples if t[0] < t[1] < t[2]})
+    u = rng.standard_normal(len(pairs))
+    lift = np.array([u[pairs.index((*sorted(t[:2]), t[2]))] for t in tuples])
+    want = graph.apply_adjacency(lift)
+    got = symmetric.apply(u)
+    reps = [tuples.index(t) for t in pairs]
+    assert np.allclose(got, want[reps] - want[reps].mean(), atol=1e-12)
+    u = rng.standard_normal(len(subsets))
+    sign = [(-1) ** sum(a > b for a, b in itertools.combinations(t, 2)) for t in tuples]
+    lift = np.array([s * u[subsets.index(tuple(sorted(t)))] for s, t in zip(sign, tuples)])
+    want = graph.apply_adjacency(lift)
+    got = alternating.apply(u)
+    assert np.allclose(got, want[[tuples.index(t) for t in subsets]], atol=1e-12)
+
+
+def test_lambda2_in_the_alternating_block():
+    # at n = 5, ell = 2 this pair's lambda_2 (0.9436) is the alternating
+    # block's; the symmetric block tops out at 0.8431, and a Ritz value never
+    # exceeds its block's top, so an estimate at lambda_2 is the alternating
+    # block's
+    g, h, rng = seeded_pair(5, 3)
+    graph = TupleGraph(g, h, 2)
+    symmetric, alternating = (np.linalg.eigvalsh(dense_block(b)) for b in graph.blocks)
+    lam2 = np.linalg.eigvalsh(dense_adjacency(graph))[-2]
+    assert symmetric[-1] == pytest.approx(1.0, abs=1e-12)
+    assert alternating[-1] == pytest.approx(lam2, abs=1e-12)
+    assert symmetric[-2] < lam2 - 0.05
+    est = estimate_gap(graph, rng=rng)
+    assert est.converged
+    assert abs(est.lambda1 - lam2) < 1e-9
+
+
+def _even_pair_on_all_points(n):
+    """(1 2 3) and (1 2 ... n) for odd n: both even, generating Alt(n)."""
+    return (
+        Permutation.from_cycles(n, [(1, 2, 3)]),
+        Permutation.from_cycles(n, [tuple(range(1, n + 1))]),
+    )
+
+
+def test_even_pair_on_n_tuples_reads_one_from_the_alternating_block():
+    # at ell = n the alternating block is one vertex, and even steps keep its
+    # sign, so A there is 1: the graph splits into the even and the odd
+    # arrangements, and the estimate reads lambda = 1 after one step
+    g, h = _even_pair_on_all_points(5)
+    graph = TupleGraph(g, h, 5)
+    assert graph.blocks[1].size == 1
+    est = estimate_gap(graph, rng=np.random.default_rng(0))
+    assert est.lambda1 == pytest.approx(1.0, abs=1e-12)
+    assert est.iterations == 1
+    assert est.converged
+
+
+def test_losing_block_at_the_cap_is_not_converged():
+    # the one-vertex alternating block closes at once and wins with lambda = 1;
+    # the 60-vertex symmetric block stops at iters short of tol, so the
+    # estimate is not converged and residual reports that block's estimate
+    g, h = _even_pair_on_all_points(5)
+    graph = TupleGraph(g, h, 5)
+    for iters, converged in ((5, False), (4000, True)):
+        est = estimate_gap(graph, iters=iters, rng=np.random.default_rng(0))
+        assert est.lambda1 == pytest.approx(1.0, abs=1e-12)
+        assert 1 == est.iterations <= iters
+        assert est.converged == converged == (est.residual <= 1e-8)
+
+
+@pytest.mark.parametrize(
+    "g_images, h_images", [([0, 1], [0, 1]), ([1, 0], [0, 1]), ([1, 0], [1, 0])]
+)
+def test_two_points_as_pairs_skip_the_one_vertex_symmetric_block(g_images, h_images):
+    # n = 2, ell = 2: the symmetric block is the constant alone, so the
+    # deflated start vector would be zero; the alternating block gives lambda_2
+    graph = TupleGraph(Permutation(g_images), Permutation(h_images), 2)
+    assert [b.size for b in graph.blocks] == [1, 1]
+    lam2 = np.linalg.eigvalsh(dense_adjacency(graph))[0]
+    est = estimate_gap(graph, rng=np.random.default_rng(0))
+    assert est.converged and est.iterations == 1
+    assert est.lambda1 == pytest.approx(lam2, abs=1e-12)
+
+
 def test_estimate_gap_disconnected_graphs_give_gap_zero():
     ident = Permutation.identity(8)
     g, h, _ = seeded_pair(16, 0)  # orbits of sizes 15 and 1
@@ -200,33 +329,44 @@ def test_estimate_gap_seed_stable():
     assert a == b
 
 
-def test_schreier_gap_independent_of_blas_threads():
-    import json
-    import os
-    import subprocess
-    import sys
-    from pathlib import Path
-
+def _run_with_blas_threads(threads: str, *args: str) -> str:
+    """stdout of `python *args` with OPENBLAS_NUM_THREADS=threads, importing
+    the same permword copy as this process. A BLAS reduction splits its sum
+    across threads, so a result that went through BLAS would change in the
+    last bits with the thread count."""
     import permword
 
-    # The children import the same permword copy as this process. A BLAS
-    # reduction splits its sum across threads, so the payload would change
-    # in the last bits with the thread count.
     root = str(Path(permword.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [root, os.environ.get("PYTHONPATH")]))
-    payloads = []
-    for threads in ("1", "2", "4"):
-        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "PYTHONPATH": path}
-        out = subprocess.run(
-            [sys.executable, "-m", "permword", "schreier-gap", "--n", "24", "--seed", "1"],
-            capture_output=True,
-            text=True,
-            env=env,
-        )
-        assert out.returncode == 0, out.stderr
-        payloads.append(json.loads(out.stdout)["payload"])
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "PYTHONPATH": path}
+    out = subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env)
+    assert out.returncode == 0, out.stderr
+    return out.stdout
+
+
+def test_schreier_gap_independent_of_blas_threads():
+    args = ("-m", "permword", "schreier-gap", "--n", "24", "--seed", "1")
+    payloads = [json.loads(_run_with_blas_threads(t, *args))["payload"] for t in ("1", "2", "4")]
     assert payloads[0]["converged"]
     assert payloads[1] == payloads[0] and payloads[2] == payloads[0]
+
+
+def test_top_ritz_independent_of_blas_threads():
+    # past about 10,000 Lanczos steps a BLAS dot or norm over the tridiagonal's
+    # vectors splits across threads; at these two seeds that changes the bits
+    code = """
+        import numpy as np
+        from permword.schreier import _top_ritz
+
+        for seed in (1, 5):
+            rng = np.random.default_rng(seed)
+            alpha = rng.uniform(-1.0, 1.0, 12_000).tolist()
+            beta = rng.uniform(0.01, 0.5, 11_999).tolist()
+            theta, s = _top_ritz(alpha, beta, -np.inf, 1.0)
+            print(theta.hex(), s.tobytes().hex())
+    """
+    one, two = (_run_with_blas_threads(t, "-c", textwrap.dedent(code)) for t in ("1", "2"))
+    assert one == two
 
 
 def test_conditioned_walk_meets_constraints(rng):
