@@ -133,23 +133,24 @@ def comparison_report(
     acts on freely (TupleGraph.tree, n <= 10), each checked by evaluating
     it; an element outside <g, h> is a ValueError naming |<g, h>|.
     Otherwise every reference element is synthesized through the context.
-    Synthesis failures propagate.
+    Synthesis failures propagate. The mode, the exact cap and the rng are
+    checked before the reference class or any word is built.
     """
     n = g.degree
+    samples = _parse_mode(mode)
+    if samples is None and n > MAX_EXACT_DEGREE:
+        raise ValueError(
+            f"exact mode enumerates ~n^3/3 words; capped at n <= {MAX_EXACT_DEGREE}"
+        )
+    if samples is not None and rng is None:
+        raise ValueError("sample mode needs an rng")
     pprime = reference_measure(g, h)
     provider = _word_provider(g, h, ctx)
-    samples = _parse_mode(mode)
     inv_ps = 8  # 1/p(s): the lazy measure gives each of g, g^-1, h, h^-1 mass 1/8
 
     if samples is None:
-        if n > MAX_EXACT_DEGREE:
-            raise ValueError(
-                f"exact mode enumerates ~n^3/3 words; capped at n <= {MAX_EXACT_DEGREE}"
-            )
         items = list(pprime.items())
     else:
-        if rng is None:
-            raise ValueError("sample mode needs an rng")
         support = list(pprime.keys())
         # the masses are a few shared Fractions: convert each once, look up by identity
         ids = list(map(id, pprime.values()))

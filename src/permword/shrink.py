@@ -1,11 +1,12 @@
 """Support shrinking: from a random generating pair to a short word whose
 permutation moves at most 3 points.
 
-The pipeline has two stages. First, a scan over low powers of the
-generators finds an element v containing a cycle of length l >= 3n/4
-with v^l != e; then s0 = v^l is a non-identity word of support at most
-n - l. Second, repeated commutator steps s -> [s, s^sigma] shrink the
-support geometrically until it is at most 3; each sigma is a lazy walk led
+The pipeline has two stages. First, a search over the short reduced words
+in g, g^-1, h, h^-1 finds an element v containing a cycle of length
+l >= 3n/4 with v^l != e, the word of least predicted cost; then
+s0 = v^l is a non-identity word of support at most n - l. Second,
+repeated commutator steps s -> [s, s^sigma] shrink the support
+geometrically until it is at most 3; each sigma is a lazy walk led
 through the pair's tree on ordered pairs to meet two point constraints.
 Every intermediate element carries its word, so the result is verifiable
 by evaluation.
@@ -13,26 +14,23 @@ by evaluation.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
-from operator import itemgetter
-from typing import Iterator
 
 import numpy as np
 
 from .errors import BudgetExceededError, InvariantError, RetryExhaustedError
 from .perm import Permutation
 from .schreier import _conditioned_walk_counted, pair_tree
-from .walk import StepTable
-from .word import GEN_G, GEN_H, Cat, Pow, Word, WordElement, expanded_length
+from .walk import STAY, StepTable, cycle_lengths
+from .word import Pow, Word, WordElement, expanded_length
 
 # Absolute constants of the construction, fixed so a seed reproduces a run.
 WALK_CONSTANT = 40.0  # lazy-walk length ceil(WALK_CONSTANT * ln n)
 BUDGET_COEFFICIENT = 10.0  # word-length budget c * n * (log2 n)^BUDGET_EXPONENT
 BUDGET_EXPONENT = 3
-SCAN_CONSTANT = 10.0  # long-cycle scan over powers j <= ceil(SCAN_CONSTANT * ln n)
-FALLBACK_WORDS = 24  # short random prefixes tried when the scan finds nothing
+SEARCH_RADIUS = 5  # the long-cycle search ranks every reduced word this long or shorter
+MAX_SEARCH_RADIUS = 8  # ... and grows past it only while no word qualifies
 SIGMA_BUDGET = 24  # conjugator draws per commutator step
 X_ONE_SCAN = 10  # draws that search for the best (X, support) before settling
 
@@ -59,65 +57,18 @@ class LongCycleElement:
         return self.element.perm
 
 
-def _candidate_key(perm: Permutation, word_len: int, j: int, family: int):
-    """Validity and preference score for a long-cycle candidate.
-
-    Returns None if invalid. The score prefers small leftover support
-    m = |supp(perm^l)| (bucketed so near-ties defer to cheaper words),
-    then cheap powers l * word_len, then scan order.
-    """
-    n = perm.degree
-    cycles = perm.cycles(include_fixed=False)
-    if not cycles:
-        return None
-    cyc = max(cycles, key=len)
-    l = len(cyc)
-    if 4 * l < 3 * n:
-        return None
-    m = sum(len(c) for c in cycles if l % len(c) != 0)
-    if m < 2:
-        return None
-    if m <= 3:
-        bucket = 0
-    elif m <= 9:
-        bucket = 1
-    elif m <= 20:
-        bucket = 2
-    else:
-        bucket = 3
-    return (bucket, l * word_len, j, family), cyc, l
-
-
-def _scan(
-    h: Permutation, jmax: int, prefix: WordElement | None, plen: int, family: int
-) -> Iterator[tuple[tuple, LongCycleElement]]:
-    """Valid (key, candidate) pairs of prefix * h^j for j = 1..jmax, in j
-    order; the word is Pow(h, j) alone when there is no prefix, and the
-    key scores it as a word of plen + j symbols."""
-    hp = h
-    for j in range(1, jmax + 1):
-        perm = hp if prefix is None else prefix.perm * hp
-        scored = _candidate_key(perm, plen + j, j, family)
-        if scored is not None:
-            key, cyc, l = scored
-            word = Pow(GEN_H, j) if prefix is None else Cat((prefix.word, Pow(GEN_H, j)))
-            yield key, LongCycleElement(WordElement(word, perm), l, tuple(cyc))
-        hp = hp * h
-
-
-def find_long_cycle_element(
-    g: Permutation,
-    h: Permutation,
-    rng: np.random.Generator,
-) -> LongCycleElement:
-    """Scan h^j and g*h^j for j up to ceil(SCAN_CONSTANT * ln n).
-
-    Keeps the best-scoring valid candidate over the whole scan. If none
-    is valid, retries with fresh random short words w in front (w * h^j,
-    first valid wins) before giving up. The scan over j is capped at the
-    order of h, past which candidates repeat. The fallback pool is sized
-    for small degrees, where only one or two cycle types qualify and the
-    cosets w<h> scanned per word carry few distinct types each.
+def find_long_cycle_element(g: Permutation, h: Permutation) -> LongCycleElement:
+    """The reduced word v over g, g^-1, h, h^-1 of least predicted |kappa|,
+    kappa = v^l, among all words of length at most SEARCH_RADIUS; ties go
+    to the shorter word, then to the first in code order. A word never
+    takes step c ^ 1 right after its inverse c. v qualifies when its
+    longest cycle has length l >= 3n/4 and m >= 2 points lie on cycles
+    whose length does not divide l: kappa moves exactly those m points and
+    costs l * |v| symbols, and each commutator step that shrinks it about
+    quadruples the word, one step per bucket of m (edges 3, 9 and 20). If
+    no word qualifies, the search grows a level at a time, the first level
+    with a qualifying word deciding, and raises RetryExhaustedError past
+    MAX_SEARCH_RADIUS. It draws nothing: a pair always gives the same v.
 
     Feasibility is a function of degree and generator parity: no cycle
     type has a cycle of length l >= 3n/4 plus a second cycle whose
@@ -136,34 +87,41 @@ def find_long_cycle_element(
             f"every qualifying cycle type at degree {n} is odd, "
             "unreachable from two even generators"
         )
-    jmax = min(math.ceil(SCAN_CONSTANT * math.log(n)), h.order())
-
-    found = min(
-        itertools.chain(
-            _scan(h, jmax, None, 0, 0), _scan(h, jmax, WordElement(GEN_G, g), 1, 1)
-        ),
-        key=itemgetter(0),
-        default=None,
-    )
-    if found is not None:
-        return found[1]
-
-    # Rare: neither generator family produced a long cycle. Mix with a
-    # random word and rescan, first valid candidate wins. Two tiers:
-    # short words first (cheap, keeps the eventual power word small),
-    # then length-2n words, long enough to decorrelate the cycle type
-    # from the generators' own.
     steps = StepTable.of(g, h)
-    short_len = math.ceil(2 * math.log(n)) + 2
-    for plen in [short_len] * FALLBACK_WORDS + [2 * n] * 8:
-        wperm, wword = steps.materialize(rng.integers(0, 4, size=plen))
-        found = next(_scan(h, jmax, WordElement(wword, wperm), plen, 0), None)
-        if found is not None:
-            return found[1]
-    raise RetryExhaustedError(
-        f"no element with a cycle of length >= 3n/4 and nontrivial power "
-        f"found in {jmax} powers and {FALLBACK_WORDS + 8} fallback words"
-    )
+    # Level 0 is the empty word. At each level row r of codes spells word r,
+    # row r of images is its product and last[r] its last step; STAY ^ 1 is
+    # no step, so any step may follow the empty word.
+    codes = np.zeros((1, 0), dtype=np.int8)
+    images = steps.images[STAY:]
+    last = np.array([STAY])
+    best_cost, best_codes = np.iinfo(np.int64).max, None
+    for word_len in range(1, MAX_SEARCH_RADIUS + 1):
+        # one level down, in code order: every step but the last one's inverse
+        parent, step = np.divmod(np.arange(STAY * codes.shape[0]), STAY)
+        keep = step != last[parent] ^ 1
+        parent, last = parent[keep], step[keep]
+        codes = np.column_stack([codes[parent], last.astype(np.int8)])
+        images = steps.images[last[:, None], images[parent]]
+        # blocks of rows bound the temporaries, as in walk.CycleTypeSpace
+        for i in range(0, codes.shape[0], 4096):
+            lengths = cycle_lengths(images[i : i + 4096])
+            l = lengths.max(axis=1)
+            m = (l[:, None] % lengths != 0).sum(axis=1)
+            cost = l * word_len * 4 ** np.searchsorted((3, 9, 20), m)
+            cost[(4 * l < 3 * n) | (m < 2)] = best_cost  # a row that fails cannot win
+            r = int(np.argmin(cost))  # the first row of least cost
+            if cost[r] < best_cost:
+                best_cost, best_codes = cost[r], codes[i + r]
+        if best_codes is not None and word_len >= SEARCH_RADIUS:
+            break
+    else:
+        raise RetryExhaustedError(
+            f"no reduced word of length <= {MAX_SEARCH_RADIUS} has a cycle of "
+            "length >= 3n/4 and a nontrivial power"
+        )
+    perm, word = steps.materialize(best_codes)
+    cycle = max(perm.cycles(include_fixed=False), key=len)
+    return LongCycleElement(WordElement(word, perm), len(cycle), cycle)
 
 
 def _commutator_step_counted(
@@ -271,10 +229,12 @@ def shrink_support(
 
     A pair that is not 2-transitive is a ValueError (schreier.pair_tree); a
     2-transitive pair is primitive, so its 3-cycle result proves that it
-    contains Alt(n) (Jordan). Starts from s0 = v^l (v from
-    find_long_cycle_element, which also sets the feasible degrees, n >= 9
-    with exceptions at small n; its support is at most n - l <= n/4) and
-    iterates commutator steps until the support is at most 3. Iteration count is capped at
+    contains Alt(n) (Jordan). Starts from s0 = v^l, with v the short word
+    that find_long_cycle_element ranks first (it also sets the feasible
+    degrees, n >= 9 with exceptions at small n, and draws nothing from
+    rng); s0 moves at least 2 and at most n - l <= n/4 points. Then it
+    iterates commutator steps, whose conjugators draw from rng, until the
+    support is at most 3. Iteration count is capped at
     ceil(4 log2 log2 n) + 4 and the word length at
     budget_coefficient * n * (log2 n)^BUDGET_EXPONENT, s0 included;
     exceeding either raises rather than returning an oversized result.
@@ -283,7 +243,7 @@ def shrink_support(
     pair_tree(g, h)  # also the degree check
     n = g.degree
     budget = word_length_budget(n, budget_coefficient)
-    v = find_long_cycle_element(g, h, rng)
+    v = find_long_cycle_element(g, h)
     l = v.length
     s = WordElement(Pow(v.word, l), v.perm**l)
     supp = s.perm.support_size()

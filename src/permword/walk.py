@@ -14,8 +14,8 @@ for Sym(8)) through gather tables built the same way, and yields that
 vector lifted back onto the group.
 
 Walks on a generator pair at any degree are rows of step codes pushed
-through one (5, n) step table; synthesis, the shrink's conjugators and
-the long-cycle fallback all draw their words this way.
+through one (5, n) step table; synthesis and the shrink's conjugators
+draw their words this way.
 """
 
 from __future__ import annotations
@@ -80,25 +80,30 @@ def _parity_rows(rows: np.ndarray) -> np.ndarray:
     return (total & 1).astype(np.uint8)
 
 
+def cycle_lengths(rows: np.ndarray) -> np.ndarray:
+    """Length of the cycle through each point, for each row of images on
+    0..n-1: an array of the rows' shape. All rows form one flat map, entry
+    (r, x) at r * n + x; ceil(log2 n) rounds of pointer jumping label each
+    entry with the least entry on its cycle, and one bincount sizes the
+    cycles."""
+    count, n = np.shape(rows)
+    p = (np.asarray(rows, dtype=np.intp) + np.arange(0, count * n, n)[:, None]).ravel()
+    lab = np.arange(count * n)
+    # after round k, lab[x] is the least of x and its next 2^k - 1 images,
+    # and p maps x to its 2^k-th image
+    for _ in range((n - 1).bit_length()):
+        np.minimum(lab, lab.take(p), out=lab)
+        p = p.take(p)
+    return np.bincount(lab, minlength=count * n).take(lab).reshape(count, n)
+
+
 def cycle_type_codes(rows: np.ndarray, n: int) -> np.ndarray:
     """Code of the cycle type of each row of images on 0..n-1: the sum over
     points x of (n + 1) ** (len(x) - 1), where len(x) is the length of the
     cycle through x. Its base-(n + 1) digits count the points on cycles of
-    each length, so distinct types get distinct codes."""
-    rows = np.asarray(rows, dtype=np.intp)
-    count = rows.shape[0]
-    # one flat map over all rows: entry (r, x) sits at r * n + x
-    flat = (rows + np.arange(0, count * n, n)[:, None]).ravel()
-    start = np.arange(count * n)
-    digit = np.zeros(count * n, dtype=np.int64)
-    unseen = np.ones(count * n, dtype=bool)
-    pos = flat
-    for k in range(n):  # pos is the image of each entry under p^(k + 1)
-        back = (pos == start) & unseen
-        digit[back] = (n + 1) ** k
-        unseen &= ~back
-        pos = flat[pos]
-    return digit.reshape(count, n).sum(axis=1)
+    each length, so distinct types get distinct codes; int64 holds every
+    code while n <= 15."""
+    return (np.int64(n + 1) ** (cycle_lengths(rows) - 1)).sum(axis=1)
 
 
 class DenseGroup:

@@ -98,15 +98,15 @@ def test_payloads_are_deterministic(capsys):
 PINNED_PAYLOADS = {
     "synth": (
         ["synth", "--n", "14", "--seed", "3", "--emit-word"],
-        "d1d60ccc19c866736c1861b9d10800436bb80625",
+        "708b6827afd19518e2de16da0c3ead616a701509",
     ),
     "shrink": (
         ["shrink", "--n", "100", "--seed", "7"],
-        "6821aa2068d1a947a9cb972e802f02cf88066919",
+        "be0a2282479257cec80ba8eae2b3b9ed0abdc74a",
     ),
     "compare": (
         ["compare", "--n", "12", "--seed", "1", "--mode", "sample:16"],
-        "d3553804e7e697f73d26cb835ce85d90837a14b6",
+        "505ebdefd2a8e232319e67855ad383a1d8b79fe9",
     ),
 }
 

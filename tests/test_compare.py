@@ -206,6 +206,23 @@ def test_compute_A_rejects_big_exact_degree():
     assert MAX_EXACT_DEGREE == 14
 
 
+def test_mode_and_exact_cap_are_checked_before_any_class_is_built(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("built before the arguments were checked")
+
+    monkeypatch.setattr(compare, "reference_measure", refuse)
+    monkeypatch.setattr(compare, "TupleGraph", refuse)
+    g, h, rng = seeded_pair(100, 0)
+    with pytest.raises(ValueError, match="capped at n <= 14"):
+        comparison_report(g, h, None, "exact")
+    g, h, rng = seeded_pair(6, 0)
+    for mode in ("sample:0", "sample:x", "Exact"):
+        with pytest.raises(ValueError, match="mode must be"):
+            comparison_report(g, h, None, mode, rng)
+    with pytest.raises(ValueError, match="needs an rng"):
+        comparison_report(g, h, None, "sample:4")
+
+
 def test_comparison_report_fields():
     g, h, _ = mixed_pair(6)
     rep = comparison_report(g, h, None, "exact")

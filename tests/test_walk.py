@@ -38,6 +38,8 @@ from permword.walk import (
     Atom,
     WalkMeasure,
     adjacent_transposition_lazy_measure,
+    cycle_lengths,
+    cycle_type_codes,
     evolution,
     gather_matrix,
     generated_mask,
@@ -253,6 +255,36 @@ def test_non_class_measures_take_the_dense_lane(make):
         assert np.array_equal(d, dense(k)[2])
         if k == 3:
             break
+
+
+def _lengths_from_cycles(p: Permutation) -> list[int]:
+    out = [0] * p.degree
+    for c in p.cycles():
+        for x in c:
+            out[x - 1] = len(c)
+    return out
+
+
+@pytest.mark.parametrize("n", (1, 2, 3, 9, 64, 300))
+def test_cycle_lengths_match_cycles(n):
+    rng = np.random.default_rng(n)
+    perms = [random_uniform(n, rng) for _ in range(6)]
+    # the identity, and an n-cycle: the only row that needs the last round
+    perms += [Permutation.identity(n), Permutation.from_cycles(n, [range(1, n + 1)])]
+    got = cycle_lengths(np.stack([p.images for p in perms]))
+    assert got.shape == (len(perms), n)
+    for p, row in zip(perms, got):
+        assert row.tolist() == _lengths_from_cycles(p)
+
+
+def test_cycle_type_codes_on_sym6():
+    # each point contributes (n + 1) ** (length of its cycle - 1)
+    group = DenseGroup("sym", 6)
+    want = [
+        sum(len(c) * 7 ** (len(c) - 1) for c in group.perm_at(i).cycles())
+        for i in range(group.size)
+    ]
+    assert cycle_type_codes(group.perms, 6).tolist() == want
 
 
 def test_cycle_type_space():
