@@ -230,14 +230,12 @@ def run_synth(args) -> dict:
 
 
 def run_compare(args) -> dict:
+    compare_mod.check_mode(args.n, args.mode)  # before the context is built
     g, h, rng = _seeded_pair(args.n, args.seed)
-    ctx = None
-    if math.perm(args.n, compare_mod.regular_tuple_length(g, h)) > MAX_VERTICES:
-        ctx = synth_mod.prepare_context(g, h, rng)
+    synthesized = math.perm(args.n, compare_mod.regular_tuple_length(g, h)) > MAX_VERTICES
+    ctx = synth_mod.prepare_context(g, h, rng) if synthesized else None
     rep = compare_mod.comparison_report(g, h, ctx, args.mode, rng)
-    out = asdict(rep)
-    out["gap_lower_bound"] = float(out["gap_lower_bound"])
-    return out
+    return {**asdict(rep), "gap_lower_bound": float(rep.gap_lower_bound)}
 
 
 RUNNERS = {

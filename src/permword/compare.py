@@ -41,6 +41,7 @@ __all__ = [
 ]
 
 MAX_EXACT_DEGREE = 14
+MAX_CLASS_SIZE = 350_000  # 3-cycles: every mode builds the whole class; n <= 102
 
 
 @dataclass(frozen=True)
@@ -109,14 +110,21 @@ def _word_provider(
     return lookup
 
 
-def _parse_mode(mode: str) -> int | None:
-    """None for exact, sample count for "sample:M"."""
-    if mode == "exact":
-        return None
+def check_mode(n: int, mode: str) -> int | None:
+    """None for "exact", the sample count for "sample:M"; ValueError for any
+    other mode, for exact mode above MAX_EXACT_DEGREE and for a 3-cycle class
+    above MAX_CLASS_SIZE. Builds nothing, so it costs the same at any n."""
     count = mode.removeprefix("sample:")
-    if count != mode and count.isdecimal() and int(count) > 0:
-        return int(count)
-    raise ValueError(f"mode must be 'exact' or 'sample:M' with M a positive integer, got {mode!r}")
+    if mode != "exact" and not (count != mode and count.isdecimal() and int(count) > 0):
+        raise ValueError(f"mode must be 'exact' or 'sample:M' with M a positive integer, got {mode!r}")
+    if mode == "exact" and n > MAX_EXACT_DEGREE:
+        raise ValueError(f"exact mode enumerates ~n^3/3 words; capped at n <= {MAX_EXACT_DEGREE}")
+    if (size := n * (n - 1) * (n - 2) // 3) > MAX_CLASS_SIZE:
+        raise ValueError(
+            f"the reference class of {size} 3-cycles is built in full; "
+            f"capped at MAX_CLASS_SIZE = {MAX_CLASS_SIZE}"
+        )
+    return None if mode == "exact" else int(count)
 
 
 def comparison_report(
@@ -133,15 +141,11 @@ def comparison_report(
     acts on freely (TupleGraph.tree, n <= 10), each checked by evaluating
     it; an element outside <g, h> is a ValueError naming |<g, h>|.
     Otherwise every reference element is synthesized through the context.
-    Synthesis failures propagate. The mode, the exact cap and the rng are
-    checked before the reference class or any word is built.
+    Synthesis failures propagate. The mode and the caps (check_mode) and
+    the rng are checked before the reference class or any word is built.
     """
     n = g.degree
-    samples = _parse_mode(mode)
-    if samples is None and n > MAX_EXACT_DEGREE:
-        raise ValueError(
-            f"exact mode enumerates ~n^3/3 words; capped at n <= {MAX_EXACT_DEGREE}"
-        )
+    samples = check_mode(n, mode)
     if samples is not None and rng is None:
         raise ValueError("sample mode needs an rng")
     pprime = reference_measure(g, h)

@@ -27,8 +27,8 @@ from .walk import (
     injective_tuples,
     lazy_step_codes,
     level_bfs,
-    lex_codes,
-    lex_lookup,
+    lex_index,
+    lex_rank,
 )
 from .word import Word
 
@@ -52,7 +52,6 @@ class TupleGraph:
         self.n = n
         self.ell = ell
         self.tuples = injective_tuples(n, ell)
-        self._codes = lex_codes(self.tuples, n)
         nbrs = np.empty((4, num), dtype=np.intp)
         for row, images in enumerate(StepTable.of(g, h).images[:STAY]):
             nbrs[row] = self.rank_rows(images[self.tuples])
@@ -65,7 +64,7 @@ class TupleGraph:
     def rank_rows(self, rows: np.ndarray) -> np.ndarray:
         """Lexicographic rank of 0-based injective tuples, vectorized;
         ValueError for a row that is not an injective tuple over 0..n-1."""
-        return lex_lookup(self.tuples, self._codes, rows, self.n)
+        return lex_index(self.tuples, rows, self.n)
 
     def rank_of(self, tup: Sequence[int]) -> int:
         """Index of a 1-based injective tuple; ValueError for anything else."""
@@ -88,8 +87,8 @@ class TupleGraph:
             return (Block(self.neighbors, signed=False),)
         pairs_sorted = self.tuples.copy()
         pairs_sorted[:, :2].sort(axis=1)
-        symmetric = _orbit_table(self.neighbors, _lex_ranks(pairs_sorted, self.n))
-        subsets = _lex_ranks(np.sort(self.tuples, axis=1), self.n)
+        symmetric = _orbit_table(self.neighbors, lex_rank(pairs_sorted, self.n))
+        subsets = lex_rank(np.sort(self.tuples, axis=1), self.n)
         alternating = _orbit_table(self.neighbors, subsets, _parity_rows(self.tuples))
         return Block(symmetric, signed=False), Block(alternating, signed=True)
 
@@ -98,17 +97,6 @@ class TupleGraph:
         moves = functools.partial(self.neighbors.take, axis=1)
         codes, depth = level_bfs(moves, STAY, self.num_vertices, 0)
         return StepTree(StepTable.of(self.g, self.h), moves, codes, depth)
-
-
-def _lex_ranks(rows: np.ndarray, n: int) -> np.ndarray:
-    """Position of each injective row over 0..n-1 in the lexicographic order
-    of injective_tuples, from its digits: a point's digit counts the smaller
-    points not used before it. Arithmetic, no search."""
-    rank = np.zeros(rows.shape[0], dtype=np.intp)
-    for i in range(rows.shape[1]):
-        smaller_used = (rows[:, :i] < rows[:, i : i + 1]).sum(axis=1)
-        rank = rank * (n - i) + (rows[:, i] - smaller_used)
-    return rank
 
 
 def _orbit_table(

@@ -1,11 +1,11 @@
 """Exact distribution evolution for lazy random walks on small groups.
 
 The full symmetric or alternating group on up to 8 points is held as an
-array of image tables in lexicographic order; a row is found by binary
-search on its base-n code. Walk distributions are dense float vectors over
-the group; one convolution step is a weighted gather through precomputed
-translation tables, the hot path of the convolution kernel. The same tables
-give the dense transition matrices and subgroup closures of the oracles.
+array of image tables in lexicographic order; a row is found at its rank,
+computed from its digits (lex_rank). Walk distributions are dense float
+vectors over the group; one convolution step is a weighted gather through
+precomputed translation tables, the hot path of the convolution kernel. The
+same tables give the dense transition matrices and subgroup closures.
 
 A measure invariant under conjugation by Sym(n), such as a lazy walk on a
 whole conjugacy class, keeps every distribution constant on cycle types.
@@ -36,14 +36,6 @@ from .word import GEN_G, GEN_H, Cat, Inv, Word
 MAX_DENSE_DEGREE = 8
 
 
-def lex_codes(rows: np.ndarray, n: int) -> np.ndarray:
-    """Base-n code of each row of entries in 0..n-1, any row width;
-    increasing in lexicographic order."""
-    rows = np.asarray(rows, dtype=np.int64)
-    weights = n ** np.arange(rows.shape[1] - 1, -1, -1, dtype=np.int64)
-    return rows @ weights
-
-
 def injective_tuples(n: int, ell: int) -> np.ndarray:
     """All injective ell-tuples over 0..n-1 as an (n!/(n-ell)!, ell) int32
     array in lexicographic order, the order of itertools.permutations.
@@ -58,13 +50,33 @@ def injective_tuples(n: int, ell: int) -> np.ndarray:
     return rows
 
 
-def lex_lookup(table: np.ndarray, codes: np.ndarray, rows: np.ndarray, n: int) -> np.ndarray:
-    """Index of each row in a lexicographically sorted table whose base-n
-    codes are `codes`; ValueError if a row is not in the table."""
+def lex_rank(rows: np.ndarray, n: int) -> np.ndarray:
+    """Position of each injective row over 0..n-1 in the lexicographic order
+    of injective_tuples: sum_i digit_i * P(n - 1 - i, l - 1 - i) over the l
+    entries x_i, digit_i = x_i - #{j < i : x_j < x_i}, by Horner's rule on the
+    columns cast to the least signed type holding n (int8 up to n = 127).
+    Any other row gets some rank, which lex_index rejects."""
+    cols = np.asarray(rows).T.astype(np.min_scalar_type(-n), order="C")
+    count = cols.shape[1]
+    rank = np.zeros(count, dtype=np.intp)
+    digit, below = np.empty(count, dtype=cols.dtype), np.empty(count, dtype=bool)
+    for i, x in enumerate(cols):
+        np.copyto(digit, x)
+        for y in cols[:i]:
+            np.subtract(digit, np.less(y, x, out=below), out=digit)
+        rank *= n - i
+        rank += digit
+    return rank
+
+
+def lex_index(table: np.ndarray, rows: np.ndarray, n: int, halve: bool = False) -> np.ndarray:
+    """Index of each row in `table`, injective rows over 0..n-1 in lexicographic
+    order: its lex_rank (halved, if halve), clipped into the table; ValueError
+    unless the table's row there is the row itself."""
     rows = np.asarray(rows)
-    idx = np.searchsorted(codes, lex_codes(rows, n))
-    # a code past the last one is clamped and then fails the row check
-    idx = np.minimum(idx, table.shape[0] - 1)
+    idx = lex_rank(rows, n)
+    idx >>= halve
+    np.clip(idx, 0, table.shape[0] - 1, out=idx)
     if not np.array_equal(table[idx], rows):
         raise ValueError("row is not in the table (outside the group or not injective)")
     return idx
@@ -72,10 +84,8 @@ def lex_lookup(table: np.ndarray, codes: np.ndarray, rows: np.ndarray, n: int) -
 
 def _parity_rows(rows: np.ndarray) -> np.ndarray:
     """Parity = Lehmer digit sum mod 2 (inversion count)."""
-    rows = np.asarray(rows)
-    n = rows.shape[1]
     total = np.zeros(rows.shape[0], dtype=np.int64)
-    for j in range(n - 1):
+    for j in range(rows.shape[1] - 1):
         total += (rows[:, j + 1 :] < rows[:, j : j + 1]).sum(axis=1)
     return (total & 1).astype(np.uint8)
 
@@ -116,15 +126,11 @@ class DenseGroup:
             raise ValueError(f"dense groups support n in 1..{MAX_DENSE_DEGREE}")
         self.kind = kind
         self.n = n
-        all_perms = injective_tuples(n, n)
-        parities = _parity_rows(all_perms)
-        if kind == "sym":
-            self.perms = all_perms
-            self.parities = parities
-        else:
-            self.perms = all_perms[parities == 0]
-            self.parities = np.zeros(self.perms.shape[0], dtype=np.uint8)
-        self._codes = lex_codes(self.perms, n)
+        self.perms = injective_tuples(n, n)
+        self.parities = _parity_rows(self.perms)
+        if kind == "alt":
+            even = self.parities == 0
+            self.perms, self.parities = self.perms[even], self.parities[even]
 
     @property
     def size(self) -> int:
@@ -135,7 +141,10 @@ class DenseGroup:
         return 0  # identity is lexicographically first in both cases
 
     def index_rows(self, rows: np.ndarray) -> np.ndarray:
-        return lex_lookup(self.perms, self._codes, rows, self.n)
+        """Index of each row; ValueError for a row outside the group. An
+        Alt(n) row's is its Sym(n) rank // 2: lexicographic rows 2i and 2i + 1
+        of Sym(n) differ by their last two entries, so exactly one is even."""
+        return lex_index(self.perms, rows, self.n, self.kind == "alt")
 
     def index_of(self, p: Permutation) -> int:
         if p.degree != self.n:
@@ -166,8 +175,8 @@ class CycleTypeSpace:
 
     def __init__(self, group: DenseGroup):
         self.n = group.n
-        # the group's sorted rows and codes, not the group: it holds this space
-        self._group_table = (group.perms, group._codes)
+        # the group's rows, not the group: it holds this space
+        self._group_rows, self._halve = group.perms, group.kind == "alt"
         # blocks of rows keep the temporaries near a megabyte at Sym(8)
         codes = [
             cycle_type_codes(group.perms[i : i + 4096], group.n)
@@ -187,7 +196,7 @@ class CycleTypeSpace:
 
     def index_rows(self, rows: np.ndarray) -> np.ndarray:
         """Type index of each row; ValueError for a row outside the group."""
-        return self.lift[lex_lookup(*self._group_table, rows, self.n)]
+        return self.lift[lex_index(self._group_rows, rows, self.n, self._halve)]
 
 
 @dataclass(frozen=True)
@@ -380,13 +389,14 @@ def transition_tables(
         raise ValueError("measure/group degree mismatch")
     tables = m._tables.get(group)
     if tables is None:
+        sinv = np.stack([a.perm.inverse().images for a in m.atoms])
         idx = np.empty((len(m.atoms), group.size), dtype=np.intp)
-        probs = np.empty(len(m.atoms))
-        for i, atom in enumerate(m.atoms):
-            sinv = atom.perm.inverse().images
+        step = max(1, 4096 // group.size)  # atoms a call: a type space's all, a group's one
+        for i in range(0, len(m.atoms), step):
             # (z * s^-1).images = sinv[z.images], for all rows z at once
-            idx[i] = group.index_rows(sinv[group.perms])
-            probs[i] = atom.prob
+            rows = sinv[i : i + step, group.perms].reshape(-1, group.n)
+            idx[i : i + step] = group.index_rows(rows).reshape(-1, group.size)
+        probs = np.array([a.prob for a in m.atoms])
         idx.setflags(write=False)
         probs.setflags(write=False)
         tables = m._tables[group] = (idx, probs)

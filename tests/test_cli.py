@@ -171,6 +171,19 @@ def test_usage_errors_exit_2(capsys):
     capsys.readouterr()
 
 
+def test_compare_checks_its_request_before_building_anything(monkeypatch, capsys):
+    def refuse(*args):
+        raise AssertionError("built before the request was checked")
+
+    monkeypatch.setattr(cli.synth_mod, "prepare_context", refuse)
+    monkeypatch.setattr(cli.compare_mod, "reference_measure", refuse)
+    assert dispatch(["compare", "--n", "1000", "--seed", "0", "--mode", "bogus"]) == 2
+    assert "mode must be" in capsys.readouterr().err
+    # the 3-cycle class of Sym(1000) would need about 1.2 TiB of image rows
+    assert dispatch(["compare", "--n", "1000", "--seed", "0", "--mode", "sample:4"]) == 2
+    assert "MAX_CLASS_SIZE" in capsys.readouterr().err
+
+
 def test_usage_error_messages_name_the_fault(capsys):
     assert dispatch(["compare", "--n", "5", "--mode", "sample:x"]) == 2
     assert "'sample:M' with M a positive integer" in capsys.readouterr().err

@@ -28,7 +28,7 @@ from permword import (
 from permword import compare, schreier
 from permword.errors import InvariantError
 from permword.word import GeneratorCounts
-from permword.compare import MAX_EXACT_DEGREE, regular_tuple_length
+from permword.compare import MAX_CLASS_SIZE, MAX_EXACT_DEGREE, check_mode, regular_tuple_length
 from permword.walk import Atom, WalkMeasure, generated_mask, translated_class
 
 from conftest import (
@@ -221,6 +221,17 @@ def test_mode_and_exact_cap_are_checked_before_any_class_is_built(monkeypatch):
             comparison_report(g, h, None, mode, rng)
     with pytest.raises(ValueError, match="needs an rng"):
         comparison_report(g, h, None, "sample:4")
+    g, h, rng = seeded_pair(1000, 0)
+    with pytest.raises(ValueError, match="MAX_CLASS_SIZE"):
+        comparison_report(g, h, None, "sample:4", rng)
+
+
+def test_class_size_limit_admits_n_up_to_102():
+    assert 102 * 101 * 100 // 3 <= MAX_CLASS_SIZE < 103 * 102 * 101 // 3
+    assert check_mode(102, "sample:32") == 32
+    assert check_mode(14, "exact") is None
+    with pytest.raises(ValueError, match="MAX_CLASS_SIZE = 350000"):
+        check_mode(103, "sample:32")
 
 
 def test_comparison_report_fields():

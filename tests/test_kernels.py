@@ -131,7 +131,7 @@ def test_index_table_producers_stay_in_range():
     nbrs = graph.neighbors
     assert nbrs.dtype == np.intp
     assert nbrs.min() >= 0 and nbrs.max() < graph.num_vertices
-    assert graph.rank_rows(graph.tuples).dtype == np.intp  # walk.lex_lookup
+    assert graph.rank_rows(graph.tuples).dtype == np.intp  # walk.lex_index
     images = StepTable.of(g, h).images
     assert images.min() >= 0 and images.max() < g.degree
     for m, space in (

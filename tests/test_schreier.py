@@ -77,6 +77,12 @@ def test_rank_rows_rejects_non_injective_rows():
     for bad in ([[0, 1, 1]], [[0, 1, 6]], [[-1, 1, 2]]):
         with pytest.raises(ValueError):
             graph.rank_rows(np.array(bad))
+    # 259 wraps to 3 in the int8 rank columns, so (0, 1, 259) ranks like
+    # (0, 1, 3) and only the row check rejects it
+    graph = TupleGraph(Permutation.identity(10), Permutation.identity(10), 3)
+    for bad in ([[0, 1, 259]], [[0, 1, 10]], [[0, -1, 2]]):
+        with pytest.raises(ValueError):
+            graph.rank_rows(np.array(bad))
 
 
 def test_neighbors_follow_generator_action():

@@ -45,6 +45,7 @@ from permword.walk import (
     generated_mask,
     injective_tuples,
     lazy_step_codes,
+    lex_rank,
     lp_norm,
     transition_tables,
     transposition_lazy_measure,
@@ -116,6 +117,29 @@ def test_dense_group_indexing():
         alt.index_of(perm_from_cycles(5, (1, 2)))
     with pytest.raises(ValueError):
         alt.index_rows(np.array([[0, 0, 1, 2, 3]]))
+    # entries outside 0..n-1; 260 wraps to 4 in the int8 rank columns, the
+    # identity's last entry, so only the row check catches it
+    for grp in (alt, DenseGroup("sym", 5)):
+        for bad in ([[-1, 1, 2, 3, 4]], [[0, 1, 2, 3, 5]], [[0, 1, 2, 3, 260]]):
+            with pytest.raises(ValueError):
+                grp.index_rows(np.array(bad))
+
+
+@pytest.mark.parametrize("kind", ["sym", "alt"])
+@pytest.mark.parametrize("n", range(1, 9))
+def test_index_rows_of_the_whole_group_is_arange(kind, n):
+    grp = DenseGroup(kind, n)
+    assert np.array_equal(grp.index_rows(grp.perms), np.arange(grp.size))
+
+
+@pytest.mark.parametrize(
+    "n, ell",
+    [(n, ell) for n in range(1, 8) for ell in range(1, n + 1)]
+    + [(200, 1), (200, 2), (40_000, 1)],  # int16 and int32 rank columns
+)
+def test_lex_rank_is_the_position_in_injective_tuples(n, ell):
+    rows = injective_tuples(n, ell)
+    assert np.array_equal(lex_rank(rows, n), np.arange(rows.shape[0]))
 
 
 @pytest.mark.parametrize(
