@@ -1,9 +1,9 @@
 """Spectral-gap transfer from a class walk to the generator walk.
 
 The lazy walk p on S = {g, h, g^-1, h^-1} is compared against a reference
-walk p' whose gap is known: uniform on all 3-cycles when both generators are
-even, else the average of the two translated classes gC and g^-1 C (using an
-odd generator as translator, so both cosets are charged). Writing each
+walk p' whose gap is known: uniform on the 3-cycle class C when both
+generators are even, else the average of the translated classes tC and
+t^-1 C for an odd generator t (so both cosets are charged). Writing each
 reference element y as a word in the generators gives the comparison
 constant
 
@@ -21,27 +21,28 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
 from .errors import InvariantError
 from .perm import Permutation, format_permutation
-from .schreier import TupleGraph
-from .walk import three_cycle_images, translated_class
+from .schreier import MAX_VERTICES, TupleGraph
+from .walk import three_cycle_images
 from .word import Word, evaluate, generator_counts
-from .synth import SynthContext, synthesize
+from .synth import prepare_context, synthesize
 
 __all__ = [
     "ComparisonReport",
     "reference_measure",
+    "reference_rows",
+    "sample_reference",
     "comparison_report",
     "gap_lower_bound",
     "l2_comparison_bound",
 ]
 
 MAX_EXACT_DEGREE = 14
-MAX_CLASS_SIZE = 350_000  # 3-cycles: every mode builds the whole class; n <= 102
 
 
 @dataclass(frozen=True)
@@ -56,27 +57,51 @@ class ComparisonReport:
     sample_error: float | None = None
 
 
-def reference_measure(g: Permutation, h: Permutation) -> dict[Permutation, Fraction]:
-    """The reference walk p' as exact masses.
+def reference_measure(g: Permutation, h: Permutation) -> tuple[Permutation, ...]:
+    """The translators T of the reference walk
+    p' = (1/|T|) sum_{tau in T} tau * Uniform(C), C the 3-cycle class.
 
-    Both generators even: uniform on the 3-cycle class (inside Alt like the
-    generator walk). Otherwise the walk lives on all of Sym, and p' is the
-    average of the translated classes tC and t^-1 C for an odd generator t;
-    the two cosets can overlap, so masses accumulate.
-
-    The keys wrap the rows of one class image array (three_cycle_images or
-    translated_class's merged cosets), and every key shares one of at most
-    two Fraction objects: 1/|C|, or 1/(2|C|) off the overlap.
+    Both generators even: T = (identity,), uniform on the class (inside Alt
+    like the generator walk). Otherwise the walk lives on all of Sym, and
+    T = (t, t^-1) for the odd generator t = g if g is odd, else h. The two
+    translates can overlap; an element in both carries the mass of each.
     """
     if g.degree < 3:
         raise ValueError("3-cycles need n >= 3")
     if g.is_even() and h.is_even():
-        cls = three_cycle_images(g.degree)
-        return dict.fromkeys(Permutation._raw_rows(cls), Fraction(1, cls.shape[0]))
-    counts = translated_class(g if not g.is_even() else h)
-    total = sum(counts.values())  # 2|C|
-    masses = {k: Fraction(k, total) for k in (1, 2)}
-    return dict(zip(counts, map(masses.__getitem__, counts.values())))
+        return (Permutation.identity(g.degree),)
+    t = g if not g.is_even() else h
+    return t, t.inverse()
+
+
+def reference_rows(translators: Sequence[Permutation]) -> np.ndarray:
+    """Every tau * c, tau in the translators and c in the 3-cycle class, as
+    one (|T| |C|, n) array of image rows, translate by translate; each row
+    has mass 1/(|T| |C|) under p'. One gather of three_cycle_images per
+    translate, since (tau * c).images = c.images[tau.images]."""
+    cls = three_cycle_images(translators[0].degree)
+    return np.concatenate([cls.take(tau.images, axis=1) for tau in translators])
+
+
+def sample_reference(
+    translators: Sequence[Permutation], count: int, rng: np.random.Generator
+) -> Iterator[Permutation]:
+    """count independent draws from p': tau * c with tau uniform in the
+    translators and c a uniform 3-cycle. c is a -> b -> c -> a for a uniform
+    ordered triple of distinct points; each 3-cycle has three rotations, so
+    c is uniform on the class. No class is built, at any n."""
+    n = translators[0].degree
+    which = rng.integers(len(translators), size=count)
+    a = rng.integers(n, size=count)
+    b = rng.integers(n - 1, size=count)
+    b += b >= a
+    c = rng.integers(n - 2, size=count)  # an index into the points outside {a, b}
+    c += c >= np.minimum(a, b)
+    c += c >= np.maximum(a, b)
+    for k, x, y, z in zip(which.tolist(), a.tolist(), b.tolist(), c.tolist()):
+        cycle = np.arange(n, dtype=np.int32)
+        cycle[[x, y, z]] = y, z, x
+        yield Permutation._raw(cycle[translators[k].images])
 
 
 def regular_tuple_length(g: Permutation, h: Permutation) -> int:
@@ -86,11 +111,7 @@ def regular_tuple_length(g: Permutation, h: Permutation) -> int:
     return max(1, g.degree - (2 if g.is_even() and h.is_even() else 1))
 
 
-def _word_provider(
-    g: Permutation, h: Permutation, ctx: SynthContext | None
-) -> Callable[[Permutation], Word]:
-    if ctx is not None:
-        return lambda y: synthesize(ctx, y)
+def _tree_words(g: Permutation, h: Permutation) -> Callable[[Permutation], Word]:
     ell = regular_tuple_length(g, h)
     graph = TupleGraph(g, h, ell)
     tree = graph.tree()
@@ -112,70 +133,66 @@ def _word_provider(
 
 def check_mode(n: int, mode: str) -> int | None:
     """None for "exact", the sample count for "sample:M"; ValueError for any
-    other mode, for exact mode above MAX_EXACT_DEGREE and for a 3-cycle class
-    above MAX_CLASS_SIZE. Builds nothing, so it costs the same at any n."""
+    other mode and for exact mode above MAX_EXACT_DEGREE. Builds nothing,
+    so it costs the same at any n."""
     count = mode.removeprefix("sample:")
     if mode != "exact" and not (count != mode and count.isdecimal() and int(count) > 0):
         raise ValueError(f"mode must be 'exact' or 'sample:M' with M a positive integer, got {mode!r}")
     if mode == "exact" and n > MAX_EXACT_DEGREE:
         raise ValueError(f"exact mode enumerates ~n^3/3 words; capped at n <= {MAX_EXACT_DEGREE}")
-    if (size := n * (n - 1) * (n - 2) // 3) > MAX_CLASS_SIZE:
-        raise ValueError(
-            f"the reference class of {size} 3-cycles is built in full; "
-            f"capped at MAX_CLASS_SIZE = {MAX_CLASS_SIZE}"
-        )
     return None if mode == "exact" else int(count)
 
 
 def comparison_report(
     g: Permutation,
     h: Permutation,
-    ctx: SynthContext | None,
     mode: str = "exact",
     rng: np.random.Generator | None = None,
 ) -> ComparisonReport:
     """The comparison constant A (an exact Fraction in exact mode), the gap
     bound it transfers, and the statistics of the words behind it.
 
-    ctx None takes shortest words from the tree of <g, h> on the tuples it
-    acts on freely (TupleGraph.tree, n <= 10), each checked by evaluating
-    it; an element outside <g, h> is a ValueError naming |<g, h>|.
-    Otherwise every reference element is synthesized through the context.
-    Synthesis failures propagate. The mode and the caps (check_mode) and
-    the rng are checked before the reference class or any word is built.
+    Exact mode charges every one of reference_rows, so an element in both
+    translates counts once per translate; sample mode draws M elements by
+    sample_reference. While the tuple graph of <g, h> fits
+    under MAX_VERTICES (n <= 10) the words are shortest ones from its tree,
+    each checked by evaluating it, and an element outside <g, h> is a
+    ValueError naming |<g, h>|. Above, every element is synthesized through
+    one context, built from rng before any draw; synthesis failures
+    propagate. The mode, the exact cap (check_mode) and the rng are checked
+    before anything is built.
     """
     n = g.degree
     samples = check_mode(n, mode)
-    if samples is not None and rng is None:
-        raise ValueError("sample mode needs an rng")
-    pprime = reference_measure(g, h)
-    provider = _word_provider(g, h, ctx)
-    inv_ps = 8  # 1/p(s): the lazy measure gives each of g, g^-1, h, h^-1 mass 1/8
-
-    if samples is None:
-        items = list(pprime.items())
+    synthesized = math.perm(n, regular_tuple_length(g, h)) > MAX_VERTICES
+    if rng is None and (samples is not None or synthesized):
+        raise ValueError("sample mode, and synthesized words above n = 10, need an rng")
+    translators = reference_measure(g, h)
+    if synthesized:
+        ctx = prepare_context(g, h, rng)
+        word_of = lambda y: synthesize(ctx, y)
     else:
-        support = list(pprime.keys())
-        # the masses are a few shared Fractions: convert each once, look up by identity
-        ids = list(map(id, pprime.values()))
-        as_float = {i: float(m) for i, m in dict(zip(ids, pprime.values())).items()}
-        probs = np.array(list(map(as_float.__getitem__, ids)))
-        probs /= probs.sum()
-        draws = rng.choice(len(support), size=samples, p=probs)
-        items = [(support[int(i)], Fraction(1, samples)) for i in draws]
+        word_of = _tree_words(g, h)
+    if samples is None:
+        elements = Permutation._raw_rows(reference_rows(translators))
+        words = len(elements)
+    else:
+        elements = sample_reference(translators, samples, rng)
+        words = samples
 
-    sums = [Fraction(0)] * 4
+    inv_ps = 8  # 1/p(s): the lazy measure gives each of g, g^-1, h, h^-1 mass 1/8
+    sums = [0] * 4  # sum_y |y| N(s, y); each y has mass 1/words
     max_len = 0
     max_term = 0
-    for y, mass in items:
-        cnt = generator_counts(provider(y))
+    for y in elements:
+        cnt = generator_counts(word_of(y))
         length = cnt.total
         max_len = max(max_len, length)
         for i, c in enumerate((cnt.g, cnt.h, cnt.g_inv, cnt.h_inv)):
-            sums[i] += length * c * mass
+            sums[i] += length * c
             max_term = max(max_term, length * c)
 
-    a_value = inv_ps * max(sums)
+    a_value = Fraction(inv_ps * max(sums), words)
     limit = inv_ps * Fraction(max_len) ** 2
     if a_value > limit:
         raise InvariantError(f"A = {a_value} exceeds its bound (1/p(s)) * max|y|^2 = {limit}")
@@ -192,7 +209,7 @@ def comparison_report(
         gap_reference=ref,
         gap_lower_bound=gap_lower_bound(a_value, ref),
         mode=mode,
-        words_used=len(items),
+        words_used=words,
         max_word_length=max_len,
         sample_error=err,
     )

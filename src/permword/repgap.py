@@ -345,11 +345,15 @@ def garna_check(n: int, g: Permutation, tol: float = 1e-9) -> GarnaReport:
     gap_alt = 1.0 - float(eigs_alt[1])
     gap_alt_norm = 1.0 - max(abs(float(eigs_alt[1])), abs(float(eigs_alt[-1])))
 
-    counts = walk_mod.translated_class(g)
-    total = sum(counts.values())  # 2|C|
-    if any(p.parity() != 1 for p in counts):
+    cls = walk_mod.three_cycles(n)
+    masses: dict[Permutation, float] = {}
+    for t in (g, g.inverse()):
+        for c in cls:
+            y = t * c
+            masses[y] = masses.get(y, 0.0) + 0.5 / len(cls)
+    if any(p.parity() != 1 for p in masses):
         raise InvariantError("translated class charges an even permutation")
-    m = walk_mod.WalkMeasure(walk_mod.Atom(p, k / total) for p, k in counts.items())
+    m = walk_mod.WalkMeasure(walk_mod.Atom(p, pr) for p, pr in masses.items())
     M = walk_mod.gather_matrix(*walk_mod.transition_tables(m, walk_mod.DenseGroup("sym", n)))
     _check_symmetric(M, "translated walk")
     eigs = np.sort(np.linalg.eigvalsh(M))[::-1]

@@ -33,6 +33,7 @@ from .walk import (
 from .word import Word
 
 MAX_VERTICES = 5_000_000
+RANK_BLOCK = 1 << 16  # tuples ranked per pass when building the neighbour table
 
 
 class TupleGraph:
@@ -53,8 +54,12 @@ class TupleGraph:
         self.ell = ell
         self.tuples = injective_tuples(n, ell)
         nbrs = np.empty((4, num), dtype=np.intp)
+        # ranked a block of tuples at a time: the (rows, ell) image and rank
+        # temporaries stay small next to the tuples themselves
         for row, images in enumerate(StepTable.of(g, h).images[:STAY]):
-            nbrs[row] = self.rank_rows(images[self.tuples])
+            for i in range(0, num, RANK_BLOCK):
+                j = i + RANK_BLOCK
+                nbrs[row, i:j] = self.rank_rows(images[self.tuples[i:j]])
         self.neighbors = nbrs
 
     @property

@@ -649,32 +649,3 @@ def generated_mask(gens: Sequence[Permutation], group: DenseGroup) -> np.ndarray
     codes, _ = level_bfs(moves, len(distinct), group.size, group.identity_index)
     return codes >= 0
 
-
-def translated_class(t: Permutation) -> dict[Permutation, int]:
-    """Multiplicities of the translated 3-cycle classes tC and t^-1 C, keyed
-    in the order t*c, then t^-1*c, over three_cycles. The two translates can
-    overlap, so a key counts 1 or 2; k / (2|C|) is the mass of the reference
-    walk (tC + t^-1 C) / 2.
-
-    Each coset is one gather of three_cycle_images through t or t^-1.
-    Within a coset the rows are distinct, and t*c = t^-1*d exactly when
-    d = t^2 * c: so t*c counts twice when t^2 * c is a 3-cycle, and t^-1*d
-    is a repeat when t^-2 * d is one. A permutation is a 3-cycle when it
-    moves exactly 3 points, so the merge needs no sort of the rows.
-    """
-    n = t.degree
-    cls = three_cycle_images(n)
-    size = cls.shape[0]
-    square = t * t
-    # (s * c).images = c.images[s.images], for every row c at once
-    twice, repeat = (
-        (cls.take(s.images, axis=1) != np.arange(n)).sum(axis=1) == 3
-        for s in (square, square.inverse())
-    )
-    fresh = np.flatnonzero(~repeat)
-    rows = np.empty((size + fresh.shape[0], n), dtype=np.int32)
-    cls.take(t.images, axis=1, out=rows[:size])
-    cls[fresh].take(t.inverse().images, axis=1, out=rows[size:])
-    del cls
-    counts = (twice + 1).tolist() + [1] * fresh.shape[0]
-    return dict(zip(Permutation._raw_rows(rows), counts))

@@ -278,7 +278,7 @@ def test_criterion_9_comparison_transfer():
     for n in (5, 6):
         for seed, g, h, group in generating_seeds(n, 5):
             delta_p = dense_walk_gap(lazy_generator_measure(g, h), group)
-            A = comparison_report(g, h, None, "exact").A
+            A = comparison_report(g, h, "exact").A
             ok &= delta_p >= float(Fraction(3, n - 1) / A) - 1e-12
     assert record_criterion(
         ok,

@@ -28,8 +28,13 @@ from permword import (
 from permword import compare, schreier
 from permword.errors import InvariantError
 from permword.word import GeneratorCounts
-from permword.compare import MAX_CLASS_SIZE, MAX_EXACT_DEGREE, check_mode, regular_tuple_length
-from permword.walk import Atom, WalkMeasure, generated_mask, translated_class
+from permword.compare import (
+    MAX_EXACT_DEGREE,
+    reference_rows,
+    regular_tuple_length,
+    sample_reference,
+)
+from permword.walk import Atom, WalkMeasure, generated_mask
 
 from conftest import (
     dense_walk_gap,
@@ -65,19 +70,34 @@ def test_tree_words_are_shortest_and_exact(n):
         oracle = bfs_distances(g, h)
         graph = TupleGraph(g, h, regular_tuple_length(g, h))
         assert np.count_nonzero(graph.tree().codes >= 0) == len(oracle)
-        word_of = compare._word_provider(g, h, None)
+        word_of = compare._tree_words(g, h)
         for p, dist in oracle.items():
             w = word_of(p)
             assert evaluate(w, g, h) == p
             assert expanded_length(w) == dist
 
 
-def test_tree_words_vertex_cap():
-    # at n = 11 the tuple graph of Alt(11) or Sym(11) exceeds MAX_VERTICES
-    g = perm_from_cycles(11, tuple(range(1, 12)))
-    for h in (perm_from_cycles(11, (1, 2, 3)), perm_from_cycles(11, (1, 2))):
-        with pytest.raises(ValueError, match=f"exceeds the {schreier.MAX_VERTICES} cap"):
-            comparison_report(g, h, None, "exact")
+class Routed(Exception):
+    pass
+
+
+def test_tree_words_vertex_cap(monkeypatch):
+    # at n = 11 the tuple graph of Alt(11) or Sym(11) exceeds MAX_VERTICES,
+    # so the words are synthesized; at n = 10 they come from the tree
+    def route(name):
+        def refuse(*args):
+            raise Routed(name)
+
+        return refuse
+
+    monkeypatch.setattr(compare, "TupleGraph", route("tree"))
+    monkeypatch.setattr(compare, "prepare_context", route("synthesis"))
+    for n, source in ((10, "tree"), (11, "synthesis")):
+        g = perm_from_cycles(n, tuple(range(1, n + 1)))
+        for h in (perm_from_cycles(n, (1, 2, 3)), perm_from_cycles(n, (1, 2))):
+            assert (math.perm(n, regular_tuple_length(g, h)) > schreier.MAX_VERTICES) == (n == 11)
+            with pytest.raises(Routed, match=source):
+                comparison_report(g, h, "exact", np.random.default_rng(0))
 
 
 def test_elements_outside_the_group_name_its_order():
@@ -85,7 +105,7 @@ def test_elements_outside_the_group_name_its_order():
     g = Permutation([(x + 1) % 7 for x in range(7)])
     h = Permutation([3 * x % 7 for x in range(7)])
     with pytest.raises(ValueError, match="a group of order 42"):
-        comparison_report(g, h, None, "exact")
+        comparison_report(g, h, "exact")
 
 
 def test_tree_word_check_survives_python_O():
@@ -107,7 +127,7 @@ def test_tree_word_check_survives_python_O():
         g = Permutation.from_cycles(5, [(1, 2)])
         h = Permutation.from_cycles(5, [(1, 2, 3, 4, 5)])
         try:
-            compare.comparison_report(g, h, None, "exact")
+            compare.comparison_report(g, h, "exact")
             print(__debug__, "returned")
         except InvariantError:
             print(__debug__, "InvariantError")
@@ -135,18 +155,30 @@ def mixed_pair(n, start_seed=0):
         seed += 1
 
 
+def exact_masses(g, h):
+    """p' from the exact enumeration: its rows merged, each with mass 1/rows."""
+    rows = reference_rows(reference_measure(g, h))
+    masses = {}
+    for y in map(Permutation, rows):
+        masses[y] = masses.get(y, 0) + Fraction(1, rows.shape[0])
+    return masses
+
+
 def test_reference_measure_even_pair_is_uniform_class():
     g, h, _ = even_even_pair(5)
-    ref = reference_measure(g, h)
+    assert reference_measure(g, h) == (Permutation.identity(5),)
+    ref = exact_masses(g, h)
     cyc = three_cycles(5)
     assert set(ref) == set(cyc)
     assert all(mass == Fraction(1, len(cyc)) for mass in ref.values())
     assert sum(ref.values()) == 1
 
 
-def test_reference_measure_mixed_pair_translated_class():
+def test_reference_measure_mixed_pair_translates_the_class():
     g, h, _ = mixed_pair(5)
-    ref = reference_measure(g, h)
+    t = g if not g.is_even() else h
+    assert reference_measure(g, h) == (t, t.inverse())
+    ref = exact_masses(g, h)
     assert sum(ref.values()) == 1
     # supported on the odd coset, symmetric under inversion
     assert all(p.parity() == 1 for p in ref)
@@ -156,12 +188,22 @@ def test_reference_measure_mixed_pair_translated_class():
 
 def test_compute_A_exact_fraction_and_bounds():
     g, h, _ = mixed_pair(5)
-    rep = comparison_report(g, h, None, "exact")
+    rep = comparison_report(g, h, "exact")
     assert isinstance(rep.A, Fraction) and rep.A > 0
-    word_of = compare._word_provider(g, h, None)
-    max_len = max(expanded_length(word_of(p)) for p in reference_measure(g, h))
+    word_of = compare._tree_words(g, h)
+    max_len = max(expanded_length(word_of(p)) for p in reference_measure_oracle(g, h))
     assert rep.max_word_length == max_len
     assert rep.A <= 8 * Fraction(max_len) ** 2
+
+
+@pytest.mark.parametrize(
+    "n, A",
+    [(5, "193/5"), (6, "526/5"), (7, "5384/35"), (8, "1006/7"), (9, "11491/42"), (10, "11083/30")],
+)
+def test_exact_A_at_seed_0_is_pinned(n, A):
+    # the README's table of tree-word constants
+    g, h, _ = seeded_pair(n, 0)
+    assert comparison_report(g, h, "exact").A == Fraction(A)
 
 
 def test_A_bound_check_survives_python_O(monkeypatch):
@@ -170,7 +212,7 @@ def test_A_bound_check_survives_python_O(monkeypatch):
     h = perm_from_cycles(5, (1, 2, 3, 4, 5))
     monkeypatch.setattr(compare, "generator_counts", lambda w: GeneratorCounts(2, -1, 0, 0))
     with pytest.raises(InvariantError):
-        comparison_report(g, h, None, "exact")
+        comparison_report(g, h, "exact")
     # python -O strips asserts; the bound check must still run
     code = """
         from permword import InvariantError, Permutation, compare
@@ -180,7 +222,7 @@ def test_A_bound_check_survives_python_O(monkeypatch):
         h = Permutation.from_cycles(5, [(1, 2, 3, 4, 5)])
         compare.generator_counts = lambda w: GeneratorCounts(2, -1, 0, 0)
         try:
-            compare.comparison_report(g, h, None, "exact")
+            compare.comparison_report(g, h, "exact")
             print(__debug__, "returned")
         except InvariantError:
             print(__debug__, "InvariantError")
@@ -190,19 +232,16 @@ def test_A_bound_check_survives_python_O(monkeypatch):
 
 def test_compute_A_sampled_is_consistent_with_exact():
     g, h, _ = mixed_pair(5)
-    exact = comparison_report(g, h, None, "exact").A
-    rep = comparison_report(g, h, None, "sample:4000", np.random.default_rng(0))
+    exact = comparison_report(g, h, "exact").A
+    rep = comparison_report(g, h, "sample:4000", np.random.default_rng(0))
     assert rep.sample_error is not None
     assert abs(float(rep.A) - float(exact)) <= rep.sample_error
 
 
 def test_compute_A_rejects_big_exact_degree():
     g, h, rng = seeded_pair(16, 2)
-    from permword import prepare_context
-
-    ctx = prepare_context(g, h, rng)
-    with pytest.raises(ValueError):
-        comparison_report(g, h, ctx, "exact")
+    with pytest.raises(ValueError, match="capped at n <= 14"):
+        comparison_report(g, h, "exact", rng)
     assert MAX_EXACT_DEGREE == 14
 
 
@@ -210,42 +249,35 @@ def test_mode_and_exact_cap_are_checked_before_any_class_is_built(monkeypatch):
     def refuse(*args):
         raise AssertionError("built before the arguments were checked")
 
-    monkeypatch.setattr(compare, "reference_measure", refuse)
-    monkeypatch.setattr(compare, "TupleGraph", refuse)
+    for name in ("reference_measure", "TupleGraph", "prepare_context"):
+        monkeypatch.setattr(compare, name, refuse)
     g, h, rng = seeded_pair(100, 0)
     with pytest.raises(ValueError, match="capped at n <= 14"):
-        comparison_report(g, h, None, "exact")
+        comparison_report(g, h, "exact", rng)
     g, h, rng = seeded_pair(6, 0)
     for mode in ("sample:0", "sample:x", "Exact"):
         with pytest.raises(ValueError, match="mode must be"):
-            comparison_report(g, h, None, mode, rng)
-    with pytest.raises(ValueError, match="needs an rng"):
-        comparison_report(g, h, None, "sample:4")
-    g, h, rng = seeded_pair(1000, 0)
-    with pytest.raises(ValueError, match="MAX_CLASS_SIZE"):
-        comparison_report(g, h, None, "sample:4", rng)
-
-
-def test_class_size_limit_admits_n_up_to_102():
-    assert 102 * 101 * 100 // 3 <= MAX_CLASS_SIZE < 103 * 102 * 101 // 3
-    assert check_mode(102, "sample:32") == 32
-    assert check_mode(14, "exact") is None
-    with pytest.raises(ValueError, match="MAX_CLASS_SIZE = 350000"):
-        check_mode(103, "sample:32")
+            comparison_report(g, h, mode, rng)
+    with pytest.raises(ValueError, match="need an rng"):
+        comparison_report(g, h, "sample:4")
+    # exact words above n = 10 are synthesized, and the context draws from rng
+    g, h, rng = seeded_pair(11, 0)
+    with pytest.raises(ValueError, match="need an rng"):
+        comparison_report(g, h, "exact")
 
 
 def test_comparison_report_fields():
     g, h, _ = mixed_pair(6)
-    rep = comparison_report(g, h, None, "exact")
+    rep = comparison_report(g, h, "exact")
     assert rep.n == 6
     assert rep.gap_reference == Fraction(3, 5)
     assert rep.gap_lower_bound == rep.gap_reference / rep.A
     assert rep.mode == "exact"
     assert rep.sample_error is None
-    assert rep.words_used >= 1 and rep.max_word_length >= 1
-    sampled = comparison_report(g, h, None, "sample:40", np.random.default_rng(5))
+    assert rep.words_used == 2 * 40 and rep.max_word_length >= 1  # |T| |C|
+    sampled = comparison_report(g, h, "sample:40", np.random.default_rng(5))
     assert sampled.words_used == 40 and sampled.sample_error > 0
-    assert comparison_report(g, h, None, "sample:40", np.random.default_rng(5)) == sampled
+    assert comparison_report(g, h, "sample:40", np.random.default_rng(5)) == sampled
 
 
 def test_gap_lower_bound_rejects_nonpositive():
@@ -267,9 +299,9 @@ def test_transfer_inequality_per_generator_small_degrees():
             if not generated_mask([g, h], group).all():
                 continue
             hits += 1
-            A = comparison_report(g, h, None, "exact").A
+            A = comparison_report(g, h, "exact").A
             delta_p = dense_walk_gap(lazy_generator_measure(g, h), group)
-            ref = reference_measure(g, h)
+            ref = reference_measure_oracle(g, h)
             # the reference comparison is against the lazy version of p'
             lazy_ref = [Atom(p, float(mass) / 2) for p, mass in ref.items()]
             lazy_ref.append(Atom(Permutation.identity(n), 0.5))
@@ -299,7 +331,7 @@ def three_cycles_oracle(n):
     return out
 
 
-def translated_class_oracle(t):
+def translates_oracle(t):
     out = {}
     cls = three_cycles_oracle(t.degree)
     for trans in (t, t.inverse()):
@@ -313,7 +345,7 @@ def reference_measure_oracle(g, h):
     if g.is_even() and h.is_even():
         cls = three_cycles_oracle(g.degree)
         return {c: Fraction(1, len(cls)) for c in cls}
-    counts = translated_class_oracle(g if not g.is_even() else h)
+    counts = translates_oracle(g if not g.is_even() else h)
     total = sum(counts.values())
     return {y: Fraction(k, total) for y, k in counts.items()}
 
@@ -325,32 +357,57 @@ def reference_pairs(n, rng):
     return [even, (odd, random_uniform(n, rng)), (random_even(n, rng), odd)]
 
 
-@pytest.mark.parametrize("n", range(3, 11))
-def test_reference_class_matches_element_loops(n):
-    rng = np.random.default_rng(n)
-    assert three_cycles(n) == three_cycles_oracle(n)
-    # odd t with t = t^-1, with t^2 a double transposition, with t^2 a 3-cycle
+def odd_translators(n):
+    """Odd t with t = t^-1, with t^2 a double transposition, with t^2 a 3-cycle."""
     odd = [Permutation.transposition(n, 1, n)]
     if n >= 4:
         odd.append(Permutation.from_cycles(n, [(1, 3, 2, 4)]))
     if n >= 5:
         odd.append(Permutation.from_cycles(n, [(2, 5), (1, 4, 3)]))
-    for g, h in reference_pairs(n, rng) + [(t, random_even(n, rng)) for t in odd]:
-        ref = reference_measure(g, h)
-        # same keys, masses and insertion order
-        assert list(ref.items()) == list(reference_measure_oracle(g, h).items())
-        assert len({id(mass) for mass in ref.values()}) <= 2  # shared Fractions
-        if not (g.is_even() and h.is_even()):
-            t = g if not g.is_even() else h
-            assert list(translated_class(t).items()) == list(translated_class_oracle(t).items())
+    return odd
 
 
 @pytest.mark.parametrize("n", range(3, 11))
-def test_translated_class_of_a_transposition_charges_each_key_twice(n):
-    # t = t^-1, so the two cosets coincide
-    t = Permutation.transposition(n, 2, 3)
+def test_reference_class_matches_element_loops(n):
+    # the exact enumeration's rows, merged, against element-by-element loops
+    rng = np.random.default_rng(n)
+    assert three_cycles(n) == three_cycles_oracle(n)
+    for g, h in reference_pairs(n, rng) + [(t, random_even(n, rng)) for t in odd_translators(n)]:
+        # same elements, masses and first-seen order
+        assert list(exact_masses(g, h).items()) == list(reference_measure_oracle(g, h).items())
+    # t = t^-1: the two translates coincide, so each element is charged twice
     size = n * (n - 1) * (n - 2) // 3
-    assert set(translated_class(t).values()) == {2}
-    ref = reference_measure(t, Permutation.identity(n))
-    assert len(ref) == size
-    assert set(ref.values()) == {Fraction(2, 2 * size)}
+    ref = exact_masses(Permutation.transposition(n, 2, 3), Permutation.identity(n))
+    assert len(ref) == size and set(ref.values()) == {Fraction(2, 2 * size)}
+
+
+@pytest.mark.parametrize("kind", ["even", "odd", "transposition"])
+def test_sampler_draws_the_oracle_masses(kind):
+    n, draws = 5, 50_000
+    rng = np.random.default_rng(11)
+    even, odd, _ = reference_pairs(n, rng)
+    transposition = Permutation.transposition(n, 2, 3), random_even(n, rng)
+    g, h = {"even": even, "odd": odd, "transposition": transposition}[kind]
+    oracle = reference_measure_oracle(g, h)
+    freq = {}
+    for y in sample_reference(reference_measure(g, h), draws, rng):
+        freq[y] = freq.get(y, 0) + 1
+    assert set(freq) <= set(oracle)  # every draw lies in the support
+    for y, mass in oracle.items():
+        sigma = math.sqrt(draws * mass * (1 - mass))
+        assert abs(freq.get(y, 0) - draws * mass) <= 5 * sigma
+
+
+def test_sampler_builds_no_class_at_n_1000(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("the 3-cycle class was built")
+
+    monkeypatch.setattr(compare, "three_cycle_images", refuse)
+    g, h, rng = seeded_pair(1000, 0)
+    translators = reference_measure(g, h)
+    for y in sample_reference(translators, 64, rng):
+        # tau^-1 * y is a 3-cycle for one of the translators: it moves 3 points
+        assert any(
+            np.count_nonzero((tau.inverse() * y).images != np.arange(1000)) == 3
+            for tau in translators
+        )
