@@ -375,10 +375,22 @@ def test_reference_class_matches_element_loops(n):
     for g, h in reference_pairs(n, rng) + [(t, random_even(n, rng)) for t in odd_translators(n)]:
         # same elements, masses and first-seen order
         assert list(exact_masses(g, h).items()) == list(reference_measure_oracle(g, h).items())
-    # t = t^-1: the two translates coincide, so each element is charged twice
+
+
+@pytest.mark.parametrize("n", range(3, 11))
+def test_translated_class_of_a_transposition_charges_each_key_twice(n):
+    # t = t^-1, so the two translates coincide and every row appears twice
+    t = Permutation.transposition(n, 2, 3)
     size = n * (n - 1) * (n - 2) // 3
-    ref = exact_masses(Permutation.transposition(n, 2, 3), Permutation.identity(n))
-    assert len(ref) == size and set(ref.values()) == {Fraction(2, 2 * size)}
+    translators = reference_measure(t, Permutation.identity(n))
+    assert translators == (t, t)
+    rows = reference_rows(translators)
+    assert rows.shape == (2 * size, n)
+    assert np.array_equal(rows[:size], rows[size:])
+    assert np.unique(rows, axis=0).shape[0] == size
+    ref = exact_masses(t, Permutation.identity(n))
+    assert len(ref) == size
+    assert set(ref.values()) == {Fraction(2, 2 * size)}
 
 
 @pytest.mark.parametrize("kind", ["even", "odd", "transposition"])
