@@ -8,10 +8,11 @@ in ``[0, size)`` of the axis it indexes (symbols below the table count,
 table entries and points below n, idx and nbrs entries below the vector
 length). Every producer enforces it when it builds a table: ``lex_index``
 clips each rank into its table and raises ValueError for a row not found
-there, and ``Permutation`` validates its images. An index outside the range is not an error here; it
-wraps round instead. The producers build their gather tables as intp,
-which ``take`` reads as they are; an index array of any other integer
-dtype is converted on every call.
+there, ``schreier.Block`` raises InvariantError for a block-table entry out
+of range, and ``Permutation`` validates its images. An index outside the
+range is not an error here; it wraps round instead. The producers build
+their gather tables as intp, which ``take`` reads as they are; an index
+array of any other integer dtype is converted on every call.
 """
 
 import numpy as np

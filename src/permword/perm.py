@@ -15,6 +15,7 @@ Conventions used everywhere in this package:
 
 from __future__ import annotations
 
+import re
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -263,15 +264,13 @@ def parse_permutation(text: str, degree: int | None = None) -> Permutation:
     """Inverse of the two text forms above.
 
     ``"5: 2 3 1 4 5"`` fixes the degree explicitly; ``"(1 2 3)(4 5)"``
-    infers it from the largest point unless ``degree`` is given.
+    infers it from the largest point unless ``degree`` is given, which
+    ``"()"`` needs. ValueError naming both forms for text of neither form.
     """
     text = text.strip()
-    if not text:
-        raise ValueError("empty permutation text")
-    if ":" in text:
-        head, _, rest = text.partition(":")
-        n = int(head.strip())
-        imgs = [int(tok) for tok in rest.split()]
+    if images := re.fullmatch(r"(\d+)\s*:([\s\d]*)", text):
+        n = int(images[1])
+        imgs = [int(tok) for tok in images[2].split()]
         if len(imgs) != n:
             raise ValueError(f"expected {n} images, got {len(imgs)}")
         if degree is not None and degree != n:
@@ -281,27 +280,11 @@ def parse_permutation(text: str, degree: int | None = None) -> Permutation:
         if degree is None:
             raise ValueError("identity needs an explicit degree")
         return Permutation.identity(degree)
-    cycles: list[list[int]] = []
-    depth = 0
-    cur: list[int] = []
-    for tok in text.replace("(", " ( ").replace(")", " ) ").split():
-        if tok == "(":
-            if depth:
-                raise ValueError("nested parenthesis in cycle text")
-            depth, cur = 1, []
-        elif tok == ")":
-            if not depth:
-                raise ValueError("unbalanced parenthesis in cycle text")
-            if len(cur) < 2:
-                raise ValueError("cycles must list at least two points")
-            cycles.append(cur)
-            depth = 0
-        else:
-            if not depth:
-                raise ValueError(f"point {tok!r} outside any cycle")
-            cur.append(int(tok))
-    if depth:
-        raise ValueError("unbalanced parenthesis in cycle text")
+    if not re.fullmatch(r"(\(\s*\d+(\s+\d+)+\s*\)\s*)+", text):
+        raise ValueError(
+            f'{text!r} is neither cycle text "(1 2 3)(4 5)" nor image text "5: 2 3 1 4 5"'
+        )
+    cycles = [[int(x) for x in cycle.split()] for cycle in re.findall(r"\(([^)]*)\)", text)]
     n = degree if degree is not None else max(max(c) for c in cycles)
     return Permutation.from_cycles(n, cycles)
 

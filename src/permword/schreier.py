@@ -1,11 +1,11 @@
 """Schreier graphs on injective tuples, gap estimation, conditioned conjugators.
 
 The graph's vertices are the injective ell-tuples over {1..n}; the edge
-multiset at x is {x^g, x^(g^-1), x^h, x^(h^-1)} acting coordinatewise, kept
-as a 4-row neighbor table that the Lanczos eigenvalue estimator works off
-through the adjacency kernel. Breadth-first step trees (walk.level_bfs) on
-ordered pairs of points build the shrink's conjugators and certify that the
-pair is 2-transitive; on a whole tuple graph they give shortest words.
+multiset at x is {x^g, x^(g^-1), x^h, x^(h^-1)} acting coordinatewise. No
+tuple is stored: Lanczos runs on two symmetry blocks whose tables are indexed
+by arithmetic ranks. Breadth-first step trees (walk.level_bfs) on ordered
+pairs of points build the shrink's conjugators and certify that the pair is
+2-transitive; on a whole tuple graph they give shortest words.
 """
 
 from __future__ import annotations
@@ -27,17 +27,17 @@ from .walk import (
     injective_tuples,
     lazy_step_codes,
     level_bfs,
-    lex_index,
     lex_rank,
+    subsets,
 )
 from .word import Word
 
 MAX_VERTICES = 5_000_000
-RANK_BLOCK = 1 << 16  # tuples ranked per pass when building the neighbour table
 
 
 class TupleGraph:
-    """Implicit Schreier graph of <g, h> acting on injective ell-tuples."""
+    """Implicit Schreier graph of <g, h> acting on injective ell-tuples, the
+    x-th tuple in lexicographic order at vertex x; it stores no tuple."""
 
     def __init__(self, g: Permutation, h: Permutation, ell: int):
         if g.degree != h.degree:
@@ -45,79 +45,83 @@ class TupleGraph:
         n = g.degree
         if not 1 <= ell <= n:
             raise ValueError("need 1 <= ell <= n")
-        num = math.perm(n, ell)
-        if num > MAX_VERTICES:
-            raise ValueError(f"{num} vertices exceeds the {MAX_VERTICES} cap")
+        self.num_vertices = math.perm(n, ell)
+        if self.num_vertices > MAX_VERTICES:
+            raise ValueError(f"{self.num_vertices} vertices exceeds the {MAX_VERTICES} cap")
         self.g = g
         self.h = h
         self.n = n
         self.ell = ell
-        self.tuples = injective_tuples(n, ell)
-        nbrs = np.empty((4, num), dtype=np.intp)
-        # ranked a block of tuples at a time: the (rows, ell) image and rank
-        # temporaries stay small next to the tuples themselves
-        for row, images in enumerate(StepTable.of(g, h).images[:STAY]):
-            for i in range(0, num, RANK_BLOCK):
-                j = i + RANK_BLOCK
-                nbrs[row, i:j] = self.rank_rows(images[self.tuples[i:j]])
-        self.neighbors = nbrs
-
-    @property
-    def num_vertices(self) -> int:
-        return self.tuples.shape[0]
+        self.steps = StepTable.of(g, h)
 
     def rank_rows(self, rows: np.ndarray) -> np.ndarray:
         """Lexicographic rank of 0-based injective tuples, vectorized;
         ValueError for a row that is not an injective tuple over 0..n-1."""
-        return lex_index(self.tuples, rows, self.n)
+        rows = np.asarray(rows)
+        # sorted and framed by -1 and n, an injective row over 0..n-1 strictly increases
+        if rows.ndim != 2 or rows.shape[1] != self.ell or (
+            np.diff(np.sort(rows), prepend=-1, append=self.n) <= 0
+        ).any():
+            raise ValueError(f"rows must be injective {self.ell}-tuples over 0..{self.n - 1}")
+        return lex_rank(rows, self.n)
 
     def rank_of(self, tup: Sequence[int]) -> int:
         """Index of a 1-based injective tuple; ValueError for anything else."""
         return int(self.rank_rows(np.asarray([[t - 1 for t in tup]]))[0])
 
-    def tuple_at(self, idx: int) -> tuple[int, ...]:
-        return tuple(int(x) + 1 for x in self.tuples[idx])
+    def _table(self, rank: Callable, symmetric: bool = False) -> np.ndarray:
+        """(4, M) table of rank(y), y each of the M tuples in lexicographic
+        order (those with x_0 < x_1 if symmetric) moved by g, g^-1, h, h^-1;
+        built a first point a at a time from the (ell - 1)-tuples over n - 1."""
+        rest = injective_tuples(self.n - 1, self.ell - 1)
+        skip = math.perm(self.n - 2, self.ell - 2) if symmetric else 0
+        table = np.empty((STAY, self.num_vertices >> symmetric), dtype=np.intp)
+        start = 0
+        for a in range(self.n):
+            tail = rest[a * skip :]
+            rows = np.column_stack((np.full(len(tail), a, dtype=np.int32), tail + (tail >= a)))
+            for j, images in enumerate(self.steps.images[:STAY]):
+                table[j, start : start + len(rows)] = rank(images[rows])
+            start += len(rows)
+        return table
 
-    def apply_adjacency(self, f: np.ndarray) -> np.ndarray:
-        """Normalized adjacency: average of f over the 4 neighbor slots."""
-        return kernels.adjacency_apply(f, self.neighbors)
+    @property
+    def neighbors(self) -> np.ndarray:
+        """(4, N) table, built on each access: entry [j, x] is tuple x moved by
+        the j-th of g, g^-1, h, h^-1."""
+        return self._table(functools.partial(lex_rank, n=self.n))
 
     @functools.cached_property
     def blocks(self) -> tuple["Block", ...]:
-        """The adjacency's symmetry blocks, built on first use from the
-        neighbor table: for ell = 1 the whole graph; else the tuples
-        symmetric in their first two points, then the alternating functions
-        on ell-subsets."""
-        if self.ell == 1:
+        """The adjacency's symmetry blocks, built on first use: for ell = 1 the
+        whole graph; else the functions symmetric in the first two points, at
+        the tuples with x_0 < x_1, then the alternating ones, at walk.subsets."""
+        n, ell = self.n, self.ell
+        if ell == 1:
             return (Block(self.neighbors, signed=False),)
-        pairs_sorted = self.tuples.copy()
-        pairs_sorted[:, :2].sort(axis=1)
-        symmetric = _orbit_table(self.neighbors, lex_rank(pairs_sorted, self.n))
-        subsets = lex_rank(np.sort(self.tuples, axis=1), self.n)
-        alternating = _orbit_table(self.neighbors, subsets, _parity_rows(self.tuples))
-        return Block(symmetric, signed=False), Block(alternating, signed=True)
+        per_pair = math.perm(n - 2, ell - 2)
+
+        def pair_rank(y: np.ndarray) -> np.ndarray:
+            # the rank of {x_0, x_1} among the pairs, then of y among its pair's tuples
+            a = np.minimum(y[:, 0], y[:, 1]).astype(np.intp)
+            b = np.maximum(y[:, 0], y[:, 1])
+            return (a * (2 * n - a - 1) // 2 + b - a - 1) * per_pair + lex_rank(y, n) % per_pair
+
+        count = math.comb(n, ell)
+        binom = np.array([[math.comb(m, k) for k in range(ell + 1)] for m in range(n)])
+        alternating = np.empty((STAY, count), dtype=np.intp)
+        for j, y in enumerate(self.steps.images[:STAY, subsets(n, ell)]):
+            # the sorted points' rank in lexicographic order, plus count if y is odd
+            x = np.sort(y)
+            alternating[j] = count - 1 - sum(binom[n - 1 - x[:, i], ell - i] for i in range(ell))
+            alternating[j] += count * _parity_rows(y).astype(np.intp)
+        return Block(self._table(pair_rank, True), signed=False), Block(alternating, signed=True)
 
     def tree(self) -> "StepTree":
         """Breadth-first step tree from vertex 0, the tuple (1, 2, ..., ell)."""
         moves = functools.partial(self.neighbors.take, axis=1)
         codes, depth = level_bfs(moves, STAY, self.num_vertices, 0)
-        return StepTree(StepTable.of(self.g, self.h), moves, codes, depth)
-
-
-def _orbit_table(
-    neighbors: np.ndarray, rep: np.ndarray, odd: np.ndarray | None = None
-) -> np.ndarray:
-    """Block table of the orbits that rep names (rep[x] is the index of x's
-    representative, so rep[x] == x on representatives): the block's vertices
-    are the representatives in order, and entry [j, b] is the block index of
-    the j-th neighbour of vertex b, plus the block size where that neighbour
-    is odd. One (N,) map from each tuple to its block index, then a gather."""
-    is_rep = rep == np.arange(rep.size)
-    index = np.cumsum(is_rep) - 1
-    block_of = index[rep]
-    if odd is not None:
-        block_of += (int(index[-1]) + 1) * odd.astype(np.intp)
-    return block_of.take(neighbors[:, is_rep])
+        return StepTree(self.steps, moves, codes, depth)
 
 
 @dataclass(frozen=True, eq=False)
@@ -126,10 +130,16 @@ class Block:
     [j, b] of the (4, size) table is the block index of the j-th neighbour of
     block vertex b, plus size where a signed block's step flips the sign.
     An unsigned block holds the constants, which apply removes after every
-    product; a signed (alternating) block holds none."""
+    product; a signed (alternating) block holds none. InvariantError for an
+    entry past that range: the adjacency kernel does not check it."""
 
     table: np.ndarray
     signed: bool
+
+    def __post_init__(self):
+        bound = self.size * (1 + self.signed)
+        if self.table.size and not (self.table.min() >= 0 and self.table.max() < bound):
+            raise InvariantError(f"block table leaves [0, {bound})")
 
     @property
     def size(self) -> int:

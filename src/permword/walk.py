@@ -292,13 +292,18 @@ def lazy_generator_measure(g: Permutation, h: Permutation) -> WalkMeasure:
     return WalkMeasure(atoms)
 
 
+def subsets(n: int, ell: int) -> np.ndarray:
+    """The ell-subsets of 0..n-1 as increasing intp rows, in itertools.combinations order."""
+    return np.fromiter(
+        itertools.chain.from_iterable(itertools.combinations(range(n), ell)), dtype=np.intp
+    ).reshape(math.comb(n, ell), ell)
+
+
 def three_cycle_images(n: int) -> np.ndarray:
     """All 3-cycles of Sym(n) as one (n(n-1)(n-2)/3, n) int32 array of
     0-based image rows, in sorted triple order: for each a < b < c, the
     cycle (a b c) and then (a c b). Each call builds a new array."""
-    triples = np.fromiter(
-        itertools.chain.from_iterable(itertools.combinations(range(n), 3)), dtype=np.intp
-    ).reshape(-1, 3)
+    triples = subsets(n, 3)
     out = np.tile(np.arange(n, dtype=np.int32), (2 * triples.shape[0], 1))
     row = np.arange(triples.shape[0])
     fwd, back = out[0::2], out[1::2]  # (a b c) and its inverse (a c b)

@@ -191,6 +191,10 @@ def test_usage_error_messages_name_the_fault(capsys):
     # an explicit target is parsed before the pair's orbits are examined
     assert dispatch(["synth", "--n", "16", "--seed", "0", "--target", "(1 17)"]) == 2
     assert "out of range 1..16" in capsys.readouterr().err
+    # malformed permutation text names the two forms, not int()'s complaint
+    assert dispatch(["synth", "--n", "14", "--seed", "0", "--target", "(1,2)"]) == 2
+    err = capsys.readouterr().err
+    assert '"(1 2 3)(4 5)"' in err and '"5: 2 3 1 4 5"' in err and "invalid literal" not in err
 
 
 def test_help_exits_0(capsys):

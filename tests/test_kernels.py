@@ -1,5 +1,7 @@
 """The numpy kernels against naive loops, and the index tables they read."""
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -131,7 +133,8 @@ def test_index_table_producers_stay_in_range():
     nbrs = graph.neighbors
     assert nbrs.dtype == np.intp
     assert nbrs.min() >= 0 and nbrs.max() < graph.num_vertices
-    assert graph.rank_rows(graph.tuples).dtype == np.intp  # walk.lex_index
+    tuples = np.array(list(itertools.permutations(range(7), 3)))
+    assert graph.rank_rows(tuples).dtype == np.intp  # walk.lex_rank
     images = StepTable.of(g, h).images
     assert images.min() >= 0 and images.max() < g.degree
     for m, space in (

@@ -125,6 +125,17 @@ def test_parse_rejects_garbage():
         parse_permutation("(1 2)(2 3)", degree=4)
 
 
+@pytest.mark.parametrize(
+    "text", ["(1,2)", "(1 2 x)", "(1)(2 3)", "((1 2))", "1 2", "5: 2 3 1 4 x", "5: 2,3,1,4,5", ""]
+)
+def test_parse_names_both_forms_for_malformed_text(text):
+    # a bad cycle point or image token is named with the two forms, not as
+    # int()'s "invalid literal"
+    with pytest.raises(ValueError) as err:
+        parse_permutation(text, degree=5)
+    assert '"(1 2 3)(4 5)"' in str(err.value) and '"5: 2 3 1 4 5"' in str(err.value)
+
+
 def test_from_cycles_rejects_overlap_and_range():
     with pytest.raises(ValueError):
         Permutation.from_cycles(4, [(1, 2), (2, 3)])

@@ -9,6 +9,7 @@ import os
 import subprocess
 import sys
 import textwrap
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -17,6 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from permword import (
+    InvariantError,
     Permutation,
     TupleGraph,
     conditioned_walk,
@@ -27,7 +29,8 @@ from permword import (
     random_uniform,
     shrink_support,
 )
-from permword.schreier import _top_ritz, pair_tree
+from permword.kernels import adjacency_apply
+from permword.schreier import Block, _top_ritz, pair_tree
 from permword.shrink import walk_length
 from permword.synth import _orbit_sizes
 
@@ -39,18 +42,23 @@ def small_graph(n=6, ell=2, seed=11):
     return TupleGraph(g, h, ell), g, h
 
 
+def tuples_of(n, ell):
+    """The graph's vertices in index order, 1-based, from itertools."""
+    return list(itertools.permutations(range(1, n + 1), ell))
+
+
 def test_vertex_count_and_rank_roundtrip():
     graph, _, _ = small_graph(6, 2)
     assert graph.num_vertices == 30
-    for idx in range(graph.num_vertices):
-        assert graph.rank_of(graph.tuple_at(idx)) == idx
+    for idx, tup in enumerate(tuples_of(6, 2)):
+        assert graph.rank_of(tup) == idx
 
 
 @settings(max_examples=50)
 @given(st.integers(0, 6 * 5 * 4 - 1))
 def test_rank_unrank_fuzz_ell3(idx):
     graph, _, _ = small_graph(6, 3)
-    assert graph.rank_of(graph.tuple_at(idx)) == idx
+    assert graph.rank_of(tuples_of(6, 3)[idx]) == idx
 
 
 def test_rank_of_rejects_bad_tuples():
@@ -87,11 +95,12 @@ def test_rank_rows_rejects_non_injective_rows():
 
 def test_neighbors_follow_generator_action():
     graph, g, h = small_graph(5, 2, seed=4)
+    nbrs = graph.neighbors
     for idx in (0, 7, graph.num_vertices - 1):
-        tup = graph.tuple_at(idx)
+        tup = tuples_of(5, 2)[idx]
         for row, s in enumerate((g, g.inverse(), h, h.inverse())):
             moved = tuple(s.apply(x) for x in tup)
-            assert graph.neighbors[row, idx] == graph.rank_of(moved)
+            assert nbrs[row, idx] == graph.rank_of(moved)
 
 
 def test_adjacency_dense_vs_implicit():
@@ -101,7 +110,7 @@ def test_adjacency_dense_vs_implicit():
     assert np.allclose(A, A.T)
     rng = np.random.default_rng(0)
     f = rng.standard_normal(graph.num_vertices)
-    assert np.allclose(graph.apply_adjacency(f), A @ f, atol=1e-12)
+    assert np.allclose(adjacency_apply(f, graph.neighbors), A @ f, atol=1e-12)
 
 
 def test_tuple_graph_rejects_oversize_and_bad_ell():
@@ -180,6 +189,66 @@ def test_block_spectra_make_up_the_spectrum(n, ell):
     assert np.allclose(union, full, rtol=0.0, atol=1e-9)
 
 
+@pytest.mark.parametrize("n, ell", [(5, 2), (6, 3), (7, 4), (6, 6), (8, 5)])
+def test_tables_match_a_dict_oracle(n, ell):
+    # every table from itertools.permutations and a dict: the neighbours over
+    # all tuples; the symmetric block over the tuples with x0 < x1, a moved
+    # tuple found with its first two points sorted; the alternating block
+    # over the sorted tuples, a moved tuple found at its sort, plus C(n, ell)
+    # where its points are in odd order
+    g, h, _ = seeded_pair(n, 3)
+    steps = [s.images.tolist() for s in (g, g.inverse(), h, h.inverse())]
+    tuples = list(itertools.permutations(range(n), ell))
+    index = {t: i for i, t in enumerate(tuples)}
+    pairs = {t: i for i, t in enumerate(t for t in tuples if t[0] < t[1])}
+    sets = {t: i for i, t in enumerate(itertools.combinations(range(n), ell))}
+
+    def odd(y):
+        return sum(a > b for a, b in itertools.combinations(y, 2)) % 2
+
+    def table(vertices, find):
+        return [[find(tuple(s[x] for x in t)) for t in vertices] for s in steps]
+
+    graph = TupleGraph(g, h, ell)
+    symmetric, alternating = graph.blocks
+    assert graph.neighbors.tolist() == table(tuples, index.__getitem__)
+    assert not symmetric.signed and alternating.signed
+    assert symmetric.table.tolist() == table(pairs, lambda y: pairs[(*sorted(y[:2]), *y[2:])])
+    assert alternating.table.tolist() == table(
+        sets, lambda y: sets[tuple(sorted(y))] + len(sets) * odd(y)
+    )
+
+
+def test_block_rejects_a_table_out_of_range():
+    # the adjacency kernel gathers without a bounds check, so a Block checks
+    # its table where it is built: [0, size), or [0, 2 size) if signed
+    table = np.zeros((4, 3), dtype=np.intp)
+    table[2, 1] = 5
+    Block(table, signed=True)
+    for signed, bad in ((False, 3), (True, 6), (False, -1)):
+        table[2, 1] = bad
+        with pytest.raises(InvariantError, match="block table"):
+            Block(table, signed=signed)
+
+
+def test_blocks_hold_little_more_than_their_tables():
+    # n = 60, ell = 3: 205,320 vertices. The blocks are built from their own
+    # vertices a first point at a time, and the graph keeps no tuple or
+    # neighbour table, so what stays allocated while the graph lives is the
+    # two tables, and the peak is a small multiple of them
+    g, h, _ = seeded_pair(60, 0)
+    tracemalloc.start()
+    try:
+        graph = TupleGraph(g, h, 3)
+        blocks = graph.blocks
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    tables = sum(b.table.nbytes for b in blocks)
+    assert held <= 1.1 * tables
+    assert peak <= 3 * tables
+
+
 def test_block_apply_is_the_adjacency_on_lifted_functions():
     # a symmetric block's function lifts to f(x) = u[block(x)], an alternating
     # one to sign(sort of x) * u[subset of x]; A on the lift is the lift of
@@ -188,19 +257,19 @@ def test_block_apply_is_the_adjacency_on_lifted_functions():
     graph = TupleGraph(g, h, 3)
     symmetric, alternating = graph.blocks
     rng = np.random.default_rng(0)
-    tuples = [tuple(x) for x in graph.tuples.tolist()]
+    tuples = list(itertools.permutations(range(6), 3))
     pairs = sorted({t for t in tuples if t[0] < t[1]})
     subsets = sorted({t for t in tuples if t[0] < t[1] < t[2]})
     u = rng.standard_normal(len(pairs))
     lift = np.array([u[pairs.index((*sorted(t[:2]), t[2]))] for t in tuples])
-    want = graph.apply_adjacency(lift)
+    want = adjacency_apply(lift, graph.neighbors)
     got = symmetric.apply(u)
     reps = [tuples.index(t) for t in pairs]
     assert np.allclose(got, want[reps] - want[reps].mean(), atol=1e-12)
     u = rng.standard_normal(len(subsets))
     sign = [(-1) ** sum(a > b for a, b in itertools.combinations(t, 2)) for t in tuples]
     lift = np.array([s * u[subsets.index(tuple(sorted(t)))] for s, t in zip(sign, tuples)])
-    want = graph.apply_adjacency(lift)
+    want = adjacency_apply(lift, graph.neighbors)
     got = alternating.apply(u)
     assert np.allclose(got, want[[tuples.index(t) for t in subsets]], atol=1e-12)
 
